@@ -84,6 +84,8 @@ def _budget(config: dict, default: AscentBudget) -> AscentBudget:
     raw = config.get("budget")
     if raw is None:
         return default
+    if not isinstance(raw, dict):
+        raise InputError(f"budget must be an object, got {raw!r}")
     return AscentBudget(int(raw.get("restarts", default.restarts)),
                         int(raw.get("iterations", default.iterations)),
                         float(raw.get("step0", default.step0)))

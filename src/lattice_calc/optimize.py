@@ -12,6 +12,12 @@ value exactly and leaves the search path unchanged.
 Restarts draw from independent substreams of one seed; results are
 deterministic for a fixed seed and the first r restarts of a budget are a
 prefix of any larger budget.
+
+All live restarts advance in lock step: each iteration evaluates the
+finite-difference probes of every live restart in one stacked batch and
+their trial points in another, with per-restart step sizes and stop
+counters.  The callables act row by row, so each restart follows exactly
+the path it would follow alone; stacking changes the cost, not the result.
 """
 
 from __future__ import annotations
@@ -88,72 +94,99 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
         z = rngs[len(starts)].standard_normal(dim)
         starts.append(np.abs(z) if nonneg else z)
 
+    # per-restart state; rows of restarts that have stopped stay frozen
+    z = np.array(starts)
+    if nonneg:
+        z = np.maximum(z, 0.0)
+    gz = denominator(z)
+    ok = (gz > 0.0) & np.isfinite(gz)
+    z = z / np.where(ok, gz, 1.0)[:, None]
+    for ridx in np.flatnonzero(~ok):
+        # degenerate start (for instance an all-zero tuple): resample
+        for _ in range(8):
+            zr = rngs[ridx].standard_normal(dim)
+            zn = _normalize(np.abs(zr) if nonneg else zr, denominator)
+            if zn is not None:
+                z[ridx] = zn
+                ok[ridx] = True
+                break
+    live = np.flatnonzero(ok)
+    val = np.full(budget.restarts, -np.inf)
+    if live.size:
+        val[live] = numerator(z[live])
+    eta = np.full(budget.restarts, float(budget.step0))
+    stalls = np.zeros(budget.restarts, dtype=int)
+    quiet = np.zeros(budget.restarts, dtype=int)
+
     eye = np.eye(dim)
+    ladder_count = len(_TRIAL_LADDER)
+    for _ in range(budget.iterations):
+        if not live.size:
+            break
+        zl = z[live][:, None, :]
+        probe = np.concatenate([zl + _FD_STEP * eye, zl - _FD_STEP * eye],
+                               axis=1).reshape(-1, dim)
+        ratios = (numerator(probe) / denominator(probe)).reshape(-1, 2 * dim)
+        grad = (ratios[:, :dim] - ratios[:, dim:]) / (2.0 * _FD_STEP)
+        # a stacked (1, dim) @ (dim, 1) product is the dot kernel that
+        # np.linalg.norm uses, so gn matches a lone restart's bit for bit
+        gn = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+        finite = np.isfinite(gn)
+        if not finite.all():
+            live, zl = live[finite], zl[finite]
+            grad, gn = grad[finite], gn[finite]
+            if not live.size:
+                break
+        direction = np.where(gn[:, None] > 0.0,
+                             grad / np.where(gn > 0.0, gn, 1.0)[:, None], 0.0)
+        # gradient-ladder steps plus compass moves in one batch; the
+        # compass directions survive kinks where finite differences of
+        # the norms mix the smooth pieces
+        el = eta[live]
+        steps = el[:, None] * _TRIAL_LADDER
+        trials = np.concatenate([
+            zl + steps[:, :, None] * direction[:, None, :],
+            zl + el[:, None, None] * eye,
+            zl - el[:, None, None] * eye,
+        ], axis=1).reshape(-1, dim)
+        if nonneg:
+            trials = np.maximum(trials, 0.0)
+        gt = denominator(trials)
+        ok = gt > 0.0
+        scaled = trials / np.where(ok, gt, 1.0)[:, None]
+        cand = np.where(ok, numerator(scaled) / denominator(scaled), -np.inf)
+        cand = cand.reshape(live.size, -1)
+        pick = np.argmax(cand, axis=1)
+        rows = np.arange(live.size)
+        top = cand[rows, pick]
+        up = top > val[live]
+
+        won = live[up]
+        gain = top[up] - val[won]
+        z[won] = scaled.reshape(live.size, -1, dim)[rows[up], pick[up]]
+        val[won] = top[up]
+        laddered = up & (pick < ladder_count)
+        hit = live[laddered]
+        eta[hit] = np.minimum(eta[hit] * _TRIAL_LADDER[pick[laddered]] * 1.6,
+                              16.0)
+        stalls[won] = 0
+        quiet[won] = np.where(
+            gain <= 1e-12 * np.maximum(np.abs(val[won]), 1e-300),
+            quiet[won] + 1, 0)
+        lost = live[~up]
+        eta[lost] *= 0.3
+        stalls[lost] += 1
+        quiet[lost] += 1
+        live = live[~((eta[live] < 1e-13) | (stalls[live] > 8)
+                      | (quiet[live] > 40))]
+
+    finals = [float(v) for v in val]
     best_val = -np.inf
     best_z = None
-    finals: list[float] = []
-    for ridx, z0 in enumerate(starts):
-        z = np.maximum(z0, 0.0) if nonneg else z0.copy()
-        zn = _normalize(z, denominator)
-        if zn is None:
-            # degenerate start (for instance an all-zero tuple): resample
-            for _ in range(8):
-                z = rngs[ridx].standard_normal(dim)
-                if nonneg:
-                    z = np.abs(z)
-                zn = _normalize(z, denominator)
-                if zn is not None:
-                    break
-            if zn is None:
-                finals.append(-np.inf)
-                continue
-        z = zn
-        val = float(numerator(z[None, :])[0])
-        eta = budget.step0
-        stalls = 0
-        quiet = 0
-        ladder_count = len(_TRIAL_LADDER)
-        for _ in range(budget.iterations):
-            probe = np.concatenate([z + _FD_STEP * eye, z - _FD_STEP * eye])
-            ratios = numerator(probe) / denominator(probe)
-            grad = (ratios[:dim] - ratios[dim:]) / (2.0 * _FD_STEP)
-            gn = float(np.linalg.norm(grad))
-            if not np.isfinite(gn):
-                break
-            direction = grad / gn if gn > 0.0 else np.zeros(dim)
-            # gradient-ladder steps plus compass moves in one batch; the
-            # compass directions survive kinks where finite differences of
-            # the norms mix the smooth pieces
-            trials = np.concatenate([
-                z[None, :] + (eta * _TRIAL_LADDER)[:, None] * direction[None, :],
-                z + eta * eye,
-                z - eta * eye,
-            ])
-            if nonneg:
-                trials = np.maximum(trials, 0.0)
-            gt = denominator(trials)
-            ok = gt > 0.0
-            scaled = trials / np.where(ok, gt, 1.0)[:, None]
-            cand = np.where(ok, numerator(scaled) / denominator(scaled), -np.inf)
-            pick = int(np.argmax(cand))
-            if cand[pick] > val:
-                gain = cand[pick] - val
-                z = scaled[pick]
-                val = float(cand[pick])
-                if pick < ladder_count:
-                    eta = min(eta * _TRIAL_LADDER[pick] * 1.6, 16.0)
-                stalls = 0
-                quiet = quiet + 1 if gain <= 1e-12 * max(abs(val), 1e-300) else 0
-            else:
-                eta *= 0.3
-                stalls += 1
-                quiet += 1
-            if eta < 1e-13 or stalls > 8 or quiet > 40:
-                break
-        finals.append(val)
-        if val > best_val:
-            best_val = val
-            best_z = z
+    for ridx, v in enumerate(finals):
+        if v > best_val:
+            best_val = v
+            best_z = z[ridx].copy()
     agree = sum(1 for v in finals if v >= best_val * (1.0 - 1e-4) - 1e-300)
     converged = agree >= min(2, len(finals))
     return AscentResult(best_val, best_z, converged, finals)

@@ -7,8 +7,6 @@ how the work is batched or scheduled.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
@@ -17,12 +15,3 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.default_rng(c) for c in children]
 
-
-def content_seed(seed: int, *arrays) -> int:
-    """Seed derived from the byte content of the arrays, stable across runs."""
-    h = hashlib.sha256()
-    for a in arrays:
-        arr = np.ascontiguousarray(a)
-        h.update(str(arr.shape).encode())
-        h.update(arr.tobytes())
-    return (int(seed) ^ int.from_bytes(h.digest()[:8], "big")) & ((1 << 63) - 1)

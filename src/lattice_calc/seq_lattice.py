@@ -306,6 +306,16 @@ class OrliczFamily(SeqNormFamily):
         support = np.count_nonzero(a, axis=-1)
         active = m > 0.0
         u1 = self.phi.unit_level
+        # rows whose bracket sum lo + hi would overflow are bisected rescaled
+        # by their max (the norm is homogeneous); other rows are untouched
+        scale = 1.0
+        with np.errstate(over="ignore"):
+            big = (~np.isfinite(2.0 * (np.maximum(support, 1) * m / u1))
+                   & np.isfinite(m))
+        if big.any():
+            scale = np.where(big, m, 1.0)
+            a = a / scale[..., None]
+            m = m / scale
         lo = np.where(active, m / u1, 1.0)
         hi = np.where(active, np.maximum(support, 1) * m / u1, 2.0)
         f = self.phi.func
@@ -315,7 +325,7 @@ class OrliczFamily(SeqNormFamily):
             above = level > 1.0
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
-        return np.where(active, 0.5 * (lo + hi), 0.0)
+        return np.where(active, 0.5 * (lo + hi) * scale, 0.0)
 
     def norm_gradient(self, values, norms=None):
         # Implicit differentiation of sum_i phi(|t_i|/N) = 1.

@@ -13,6 +13,7 @@ import numpy as np
 
 from .constants import (brute_force_constant, convexity_ratio, duality_check,
                         estimate_constant, functional_norm, lattice_constants)
+from .errors import InputError
 from .finite_lattice import (FiniteLattice, NormedSpace, homogeneous, lattice,
                              lattice_valued_norm, norm_function, projection,
                              sup_representation)
@@ -27,7 +28,7 @@ from .reporting import check_record, inputs_digest
 from .seeding import spawn_rngs
 from .seq_lattice import (LpFamily, NumericDualFamily, OrliczFamily,
                           SeqNormFamily, WeightedLpFamily, dual_witness,
-                          holder_check, kothe_dual, kothe_dual_norm)
+                          kothe_dual, kothe_dual_norm)
 from .descriptors import parse_gauge
 
 DEFAULT_COUNTS = {
@@ -81,7 +82,7 @@ def _merge_counts(counts: dict | None) -> dict:
     if counts:
         unknown = set(counts) - set(DEFAULT_COUNTS)
         if unknown:
-            raise ValueError(f"unknown count keys {sorted(unknown)}")
+            raise InputError(f"unknown count keys {sorted(unknown)}")
         merged.update(counts)
     return merged
 
@@ -464,13 +465,14 @@ def mixed_suite(counts: dict | None = None, seed: int = 300) -> list[dict]:
 
     # pairing bound of eventually-zero sequences
     pinst = counts["pairing_instances"]
+    half = max(1, pinst // 2)
     worst = 0.0
     for fam in [LpFamily(2), LpFamily(3)]:
         space = lattice(3, LpFamily(2))
         dual_fam = kothe_dual(fam)
         dual_space = space.dual()
-        w = rngs[5].standard_normal((pinst // 2, 4, 3))
-        s = rngs[6].standard_normal((pinst // 2, 4, 3))
+        w = rngs[5].standard_normal((half, 4, 3))
+        s = rngs[6].standard_normal((half, 4, 3))
         lhs = np.abs((w * s).sum(axis=(1, 2)))
         rhs = (strong_mixed_norm_batch(dual_space, dual_fam, s)
                * strong_mixed_norm_batch(space, fam, w))

@@ -7,6 +7,7 @@ import pytest
 
 from lattice_calc.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR,
                               EXIT_NONCONVERGENT, EXIT_OK, main, run)
+from lattice_calc.verification import mixed_suite
 
 SMALL_COUNTS = {
     "family_probes": 60, "dual_probes": 10, "holder_probes": 60,
@@ -107,6 +108,24 @@ def test_input_error_exits(tmp_path):
                   {"task": "dualnorm", "family": {"kind": "lp", "p": 2},
                    "vector": [1, 2]})
     assert main(["norm", "--config", cfg2]) == EXIT_INPUT_ERROR  # task clash
+
+
+def test_malformed_counts_and_budget_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "v.json", {"task": "verify",
+                                      "counts": {"bogus": 1}})
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT_ERROR
+    assert "bogus" in capsys.readouterr().err
+    cfg = _write(tmp_path, "d.json",
+                 {"task": "dualnorm", "family": {"kind": "lp", "p": 3},
+                  "vector": [1, 1], "method": "numeric", "budget": 5})
+    assert main(["dualnorm", "--config", cfg]) == EXIT_INPUT_ERROR
+    assert "budget" in capsys.readouterr().err
+
+
+def test_verify_single_pairing_instance():
+    records = mixed_suite(dict(SMALL_COUNTS, pairing_instances=1), seed=3)
+    pairing = [r for r in records if r["op"] == "sequence_pairing_bound"]
+    assert len(pairing) == 1 and pairing[0]["holds"]
 
 
 def test_verify_small_and_deterministic(tmp_path):

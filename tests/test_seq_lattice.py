@@ -1,6 +1,7 @@
 """Norm families and Koethe duals against closed forms and brute oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ def test_orlicz_square_matches_euclidean():
     assert value == pytest.approx(5.0, rel=1e-12)
     oracle = luxemburg_oracle(fam.phi.func, [3, 4])
     assert value == pytest.approx(oracle, rel=1e-11)
+
+
+def test_orlicz_square_near_overflow_matches_l2():
+    fam = OrliczFamily(parse_gauge("u^2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = fam.norm([1e308, 1e308])
+        single = fam.norm([1e308])
+        batch = fam.norm_array(np.array([[1e308, 1e308], [3.0, 4.0]]))
+    assert huge == pytest.approx(LpFamily(2).norm([1e308, 1e308]), rel=1e-12)
+    assert single == pytest.approx(1e308, rel=1e-12)
+    assert batch[0] == huge
+    assert batch[1] == fam.norm([3.0, 4.0])
 
 
 def test_orlicz_cubic_matches_bracketing_oracle():
