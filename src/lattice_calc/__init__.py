@@ -5,13 +5,15 @@ functional calculus, mixed tuple norms, operators with convexity and
 concavity constants, and the duality between the two.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (DescriptorError, DimensionMismatchError, InputError,
                      ScaleGuardError)
-from .seq_lattice import (CustomFamily, DualNormResult, KotheDualDescriptor,
-                          LpFamily, NumericDualFamily, OrliczFamily,
-                          OrliczFunction, SeqNormFamily, WeightedLpFamily,
-                          conjugate_exponent, dual_witness, holder_check,
-                          kothe_dual, kothe_dual_norm)
+from .seq_lattice import (CustomFamily, DualNormResult, LpFamily,
+                          NumericDualFamily, OrliczFamily, OrliczFunction,
+                          SeqNormFamily, WeightedLpFamily, conjugate_exponent,
+                          dual_witness, holder_check, kothe_dual,
+                          kothe_dual_norm)
 from .descriptors import family_from_descriptor, parse_gauge
 from .finite_lattice import (DualLattice, FiniteLattice, HomogeneousFunction,
                              NormedSpace, SupRepresentation, absolute, compose,
@@ -19,8 +21,8 @@ from .finite_lattice import (DualLattice, FiniteLattice, HomogeneousFunction,
                              krivine_bound_check, krivine_compose_check,
                              lattice, lattice_valued_norm, meet, norm_function,
                              projection, sup_representation)
-from .mixed_norms import (JoinBoundReport, TruncatedSequence, VectorTuple,
-                          join_bound_check, lattice_holder_check,
+from .mixed_norms import (JoinBoundReport, join_bound_check,
+                          lattice_holder_check,
                           mixed_norm_equivalence_check, pointwise_mixed_norm,
                           riesz_join_check, sequence_pairing,
                           strong_mixed_norm, tail_profile)
@@ -34,4 +36,5 @@ from .constants import (ConstantEstimate, DualityReport, FunctionalNormResult,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

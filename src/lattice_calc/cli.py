@@ -25,9 +25,11 @@ Operators: {"matrix": [[...], ...] | "matrix_csv": "path"
             "domain": <family descriptor>, "codomain": <family descriptor>,
             "label": "T"}
 
-Reports are deterministic for a fixed config (no timestamps), so replaying
-a run yields a byte-identical file.  Exit status: 0 success, 1 a check
-failed, 2 invalid input, 3 a numeric routine did not converge.
+Every field is type-checked ("seed" is a nonnegative integer; a bool is
+never a number).  Reports are deterministic for a fixed config (no
+timestamps), so replaying a run yields a byte-identical file.  Exit status:
+0 success, 1 a check failed, 2 invalid input (malformed fields included),
+3 a numeric routine did not converge.
 """
 
 from __future__ import annotations
@@ -42,14 +44,12 @@ from . import __version__
 from .constants import duality_check, estimate_constant
 from .descriptors import family_from_descriptor
 from .errors import InputError
-from .finite_lattice import lattice, norm_function, projection
-from .mixed_norms import as_rows
+from .finite_lattice import krivine_apply, lattice, norm_function, projection
 from .operators import OperatorInstance
 from .optimize import AscentBudget
-from .reporting import inputs_digest
-from .seq_lattice import kothe_dual_norm
+from .reporting import check_record, inputs_digest
+from .seq_lattice import as_array, config_field, kothe_dual_norm
 from .verification import run_all
-from .finite_lattice import krivine_apply
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,69 +59,68 @@ EXIT_NONCONVERGENT = 3
 TASKS = ("norm", "dualnorm", "krivine", "constant", "duality", "verify")
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise InputError(f"config is missing required field {key!r}")
-    return config[key]
-
-
 def _load_table(source, what: str) -> np.ndarray:
-    if isinstance(source, dict) and "csv" in source:
+    """An inline array (a flat one is a single row) or a {"csv": path} table."""
+    if isinstance(source, dict):
+        path = config_field(source, "csv", str, where=what)
         try:
-            return np.atleast_2d(np.loadtxt(source["csv"], delimiter=",",
-                                            dtype=float))
+            source = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
         except OSError as exc:
-            raise InputError(f"cannot read {what} from {source['csv']}: {exc}")
+            raise InputError(f"cannot read {what} from {path}: {exc}")
         except ValueError as exc:
             raise InputError(f"malformed CSV for {what}: {exc}")
-    arr = np.asarray(source, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr
+    elif source and not isinstance(source[0], list):
+        source = [source]
+    return as_array(source, (None, None), what)
 
 
 def _budget(config: dict, default: AscentBudget) -> AscentBudget:
-    raw = config.get("budget")
-    if raw is None:
-        return default
-    if not isinstance(raw, dict):
-        raise InputError(f"budget must be an object, got {raw!r}")
-    return AscentBudget(int(raw.get("restarts", default.restarts)),
-                        int(raw.get("iterations", default.iterations)),
-                        float(raw.get("step0", default.step0)))
+    raw = config_field(config, "budget", dict, {})
+    return AscentBudget(
+        config_field(raw, "restarts", int, default.restarts, where="budget"),
+        config_field(raw, "iterations", int, default.iterations, where="budget"),
+        config_field(raw, "step0", float, default.step0, where="budget"))
 
 
 def _operator(config: dict) -> OperatorInstance:
-    raw = _require(config, "operator")
+    raw = config_field(config, "operator", dict)
     if "random" in raw:
-        shape = raw["random"]
-        rng = np.random.default_rng(int(shape.get("seed", 0)))
-        matrix = rng.standard_normal((int(shape["rows"]), int(shape["cols"])))
+        shape = config_field(raw, "random", dict, where="operator")
+        rows, cols = (config_field(shape, key, int, low=1, where="random")
+                      for key in ("rows", "cols"))
+        seed = config_field(shape, "seed", int, 0, low=0, where="random")
+        matrix = np.random.default_rng(seed).standard_normal((rows, cols))
     elif "matrix_csv" in raw:
         matrix = _load_table({"csv": raw["matrix_csv"]}, "operator matrix")
     elif "matrix" in raw:
-        matrix = _load_table(raw["matrix"], "operator matrix")
+        matrix = _load_table(config_field(raw, "matrix", list, where="operator"),
+                             "operator matrix")
     else:
         raise InputError("operator needs 'matrix', 'matrix_csv' or 'random'")
     m, d = matrix.shape
-    domain = lattice(d, family_from_descriptor(_require(raw, "domain")))
-    codomain = lattice(m, family_from_descriptor(_require(raw, "codomain")))
+    domain = lattice(d, _family(raw, "domain", "operator"))
+    codomain = lattice(m, _family(raw, "codomain", "operator"))
     return OperatorInstance(matrix, domain, codomain,
-                            label=raw.get("label", "T"))
+                            label=config_field(raw, "label", str, "T",
+                                               where="operator"))
+
+
+def _family(config: dict, key: str = "family", where: str = "config"):
+    return family_from_descriptor(config_field(config, key, dict, where=where))
 
 
 def _task_norm(config: dict, seed: int) -> tuple[dict, list, bool]:
-    family = family_from_descriptor(_require(config, "family"))
-    vector = np.asarray(_require(config, "vector"), dtype=float)
-    value = family.norm(vector)
+    family = _family(config)
+    value = family.norm(config_field(config, "vector", list))
     return {"family": family.label, "norm": value}, [], True
 
 
 def _task_dualnorm(config: dict, seed: int) -> tuple[dict, list, bool]:
-    family = family_from_descriptor(_require(config, "family"))
-    vector = np.asarray(_require(config, "vector"), dtype=float)
+    family = _family(config)
+    vector = config_field(config, "vector", list)
     budget = _budget(config, AscentBudget(32, 300, 0.25))
-    res = kothe_dual_norm(family, vector, config.get("method", "auto"),
+    res = kothe_dual_norm(family, vector,
+                          config_field(config, "method", str, "auto"),
                           restarts=budget.restarts,
                           iterations=budget.iterations, seed=seed,
                           step0=budget.step0)
@@ -132,14 +131,14 @@ def _task_dualnorm(config: dict, seed: int) -> tuple[dict, list, bool]:
 
 
 def _task_krivine(config: dict, seed: int) -> tuple[dict, list, bool]:
-    rows = _load_table(_require(config, "tuple"), "tuple")
-    desc = _require(config, "function")
-    kind = desc.get("kind")
+    rows = _load_table(config_field(config, "tuple", (list, dict)), "tuple")
+    desc = config_field(config, "function", dict)
+    kind = config_field(desc, "kind", str, where="function")
     if kind == "projection":
-        h = projection(rows.shape[0], int(_require(desc, "index")))
+        h = projection(rows.shape[0],
+                       config_field(desc, "index", int, where="function"))
     elif kind == "norm":
-        h = norm_function(family_from_descriptor(_require(desc, "family")),
-                          rows.shape[0])
+        h = norm_function(_family(desc, where="function"), rows.shape[0])
     else:
         raise InputError(f"unknown krivine function kind {kind!r}")
     value = krivine_apply(h, rows)
@@ -148,9 +147,9 @@ def _task_krivine(config: dict, seed: int) -> tuple[dict, list, bool]:
 
 def _task_constant(config: dict, seed: int) -> tuple[dict, list, bool]:
     op = _operator(config)
-    family = family_from_descriptor(_require(config, "family"))
-    flavor = config.get("flavor", "convexity")
-    n_max = int(config.get("n_max", 2))
+    family = _family(config)
+    flavor = config_field(config, "flavor", str, "convexity")
+    n_max = config_field(config, "n_max", int, 2)
     budget = _budget(config, AscentBudget())
     est = estimate_constant(op, family, flavor, n_max, budget, seed)
     converged = all(b.converged for b in est.per_n)
@@ -159,21 +158,22 @@ def _task_constant(config: dict, seed: int) -> tuple[dict, list, bool]:
 
 def _task_duality(config: dict, seed: int) -> tuple[dict, list, bool]:
     op = _operator(config)
-    family = family_from_descriptor(_require(config, "family"))
-    n = int(config.get("n", 2))
+    family = _family(config)
+    n = config_field(config, "n", int, 2)
     budget = _budget(config, AscentBudget())
+    tolerance = config_field(config, "gap_tolerance", float, 5e-2, low=0.0)
     rep = duality_check(op, family, n, budget, seed)
     results = {"convex_n": rep.convex_n, "concave_dual_n": rep.concave_dual_n,
                "rel_gap": rep.rel_gap, "n": n, "converged": rep.converged}
-    tolerance = float(config.get("gap_tolerance", 5e-2))
-    checks = [{"op": "duality_gap", "inputs_digest": inputs_digest(
-        op.matrix, family.label, n, seed), "lhs": rep.rel_gap,
-        "rhs": tolerance, "holds": rep.rel_gap <= tolerance, "seed": seed}]
+    checks = [check_record("duality_gap", rep.rel_gap, tolerance,
+                           rep.rel_gap <= tolerance,
+                           inputs_digest(op.matrix, family.label, n, seed),
+                           seed=seed)]
     return results, checks, rep.converged
 
 
 def _task_verify(config: dict, seed: int) -> tuple[dict, list, bool]:
-    sections = run_all(config.get("counts"), seed)
+    sections = run_all(config_field(config, "counts", dict, None), seed)
     summary = sections.pop("summary")
     checks = [rec for recs in sections.values() for rec in recs]
     return {"summary": summary}, checks, True
@@ -194,7 +194,7 @@ def run(config: dict) -> dict:
     task = config.get("task")
     if task not in TASKS:
         raise InputError(f"task must be one of {TASKS}, got {task!r}")
-    seed = int(config.get("seed", 0))
+    seed = config_field(config, "seed", int, 0, low=0)
     results, checks, converged = _RUNNERS[task](config, seed)
     passed = all(c["holds"] for c in checks)
     if not passed:
@@ -248,13 +248,13 @@ def main(argv=None) -> int:
         config["seed"] = args.seed
 
     try:
+        out_path = args.out or config_field(config, "out", str, None)
         report = run(config)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     text = json.dumps(report, indent=2, sort_keys=True)
-    out_path = args.out or config.get("out")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -12,9 +12,8 @@ convexity bound of T and the level-n concavity bound of its transpose
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,13 +120,16 @@ def concavity_ratio(op: OperatorInstance, family: SeqNormFamily, rows) -> float:
     return strong_mixed_norm(op.codomain, family, apply_n(op, a)) / denom
 
 
+def _cyclic_tuple(n: int, din: int) -> np.ndarray:
+    """The n-tuple whose row j is the canonical vector e_(j mod din)."""
+    cyc = np.zeros((n, din))
+    cyc[np.arange(n), np.arange(n) % din] = 1.0
+    return cyc
+
+
 def _structured_tuples(n: int, din: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Start tuples: cycled canonical rows, a rank-one tuple, a single spike."""
-    starts = []
-    cyc = np.zeros((n, din))
-    for j in range(n):
-        cyc[j, j % din] = 1.0
-    starts.append(cyc)
+    starts = [_cyclic_tuple(n, din)]
     direction = rng.standard_normal(din)
     starts.append(np.tile(direction, (n, 1)))
     spike = np.zeros((n, din))
@@ -340,11 +342,7 @@ def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
     def numer(z):
         return np.abs((z.reshape(-1, n, space.dim) * s).sum(axis=(-1, -2)))
 
-    inits = [_pairing_witness_tuple(space, family, s)]
-    cyc = np.zeros((n, space.dim))
-    for j in range(n):
-        cyc[j, j % space.dim] = 1.0
-    inits.append(cyc)
+    inits = [_pairing_witness_tuple(space, family, s), _cyclic_tuple(n, space.dim)]
     result = maximize_ratio(numer, denom, n * space.dim, seed=seed,
                             budget=budget or AscentBudget(), inits=inits)
     return FunctionalNormResult(result.value, result.argmax.reshape(n, space.dim),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DescriptorError
 from .seq_lattice import (LpFamily, OrliczFamily, OrliczFunction,
-                          SeqNormFamily, WeightedLpFamily)
+                          SeqNormFamily, WeightedLpFamily, config_field)
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(u)|(exp)|([()+*^]))")
 
@@ -169,12 +169,13 @@ def parse_gauge(expression: str) -> OrliczFunction:
     return OrliczFunction(func, expression=expression)
 
 
-def _parse_exponent(raw):
-    if isinstance(raw, str):
-        if raw.lower() in ("inf", "infinity"):
-            return math.inf
-        raise DescriptorError(f"cannot parse exponent {raw!r}")
-    return float(raw)
+def _parse_exponent(desc: dict) -> float:
+    raw = config_field(desc, "p", (float, str), where="family")
+    if not isinstance(raw, str):
+        return float(raw)
+    if raw.lower() in ("inf", "infinity"):
+        return math.inf
+    raise DescriptorError(f"cannot parse exponent {raw!r}")
 
 
 def family_from_descriptor(desc: dict) -> SeqNormFamily:
@@ -182,13 +183,13 @@ def family_from_descriptor(desc: dict) -> SeqNormFamily:
         raise DescriptorError(f"norm-family descriptor must be a dict with "
                               f"a 'kind', got {desc!r}")
     kind = desc["kind"]
-    try:
-        if kind == "lp":
-            return LpFamily(_parse_exponent(desc["p"]))
-        if kind == "weighted_lp":
-            return WeightedLpFamily(_parse_exponent(desc["p"]), desc["weights"])
-        if kind == "orlicz":
-            return OrliczFamily(parse_gauge(desc["phi"]))
-    except KeyError as exc:
-        raise DescriptorError(f"descriptor {desc!r} is missing field {exc}") from exc
+    if kind == "lp":
+        return LpFamily(_parse_exponent(desc))
+    if kind == "weighted_lp":
+        p = _parse_exponent(desc)
+        weights = config_field(desc, "weights", list, where="family")
+        return WeightedLpFamily(p, weights)
+    if kind == "orlicz":
+        phi = config_field(desc, "phi", str, where="family")
+        return OrliczFamily(parse_gauge(phi))
     raise DescriptorError(f"unknown norm-family kind {kind!r}")

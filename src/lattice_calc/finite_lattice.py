@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError
-from .seq_lattice import (LpFamily, SeqNormFamily, dual_witness, kothe_dual,
-                          as_vector)
+from .seq_lattice import (LpFamily, SeqNormFamily, as_array, dual_witness,
+                          kothe_dual)
 
 _SUP_SAMPLES = 10_000
 
@@ -42,7 +42,7 @@ class NormedSpace:
         return self.family.norm_array(a)
 
     def norm(self, x) -> float:
-        return float(self.norm_array(as_vector(x)))
+        return float(self.norm_array(as_array(x, (self.dim,), "vector")))
 
     def dual(self) -> "NormedSpace":
         return NormedSpace(self.dim, kothe_dual(self.family), self.label + "*")
@@ -178,25 +178,15 @@ def compose(outer: HomogeneousFunction,
                                f"{outer.label}o({len(inner)} maps)", sup, False)
 
 
-def _tuple_rows(rows, arity: int | None = None) -> np.ndarray:
-    a = np.asarray(getattr(rows, "rows", rows), dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise InputError(f"expected a nonempty (n, m) tuple of rows, got {a.shape}")
-    if arity is not None and a.shape[0] != arity:
-        raise DimensionMismatchError(
-            f"tuple has {a.shape[0]} rows, function has arity {arity}")
-    return a
-
-
 def krivine_apply(h: HomogeneousFunction, rows) -> np.ndarray:
     """Apply h to a tuple of lattice elements, coordinate by coordinate."""
-    a = _tuple_rows(rows, h.arity)
+    a = as_array(rows, (h.arity, None), "tuple")
     return h.func(a.T)
 
 
 def lattice_valued_norm(family: SeqNormFamily, rows) -> np.ndarray:
     """The lattice element omega -> family norm of (x_1[omega], ..., x_n[omega])."""
-    a = np.asarray(getattr(rows, "rows", rows), dtype=float)
+    a = np.asarray(rows, dtype=float)
     if a.ndim < 2:
         raise InputError(f"expected tuples of shape (..., n, m), got {a.shape}")
     family.check_length(a.shape[-2])
@@ -211,7 +201,7 @@ def krivine_compose_check(inner: Sequence[HomogeneousFunction],
     applies the composed function directly.  In the pointwise realization
     these are the same arithmetic, so equality is exact.
     """
-    a = _tuple_rows(rows)
+    a = as_array(rows, (None, None), "tuple")
     stage = np.stack([krivine_apply(g, a) for g in inner])
     lhs = krivine_apply(h, stage)
     rhs = krivine_apply(compose(h, inner, samples=2, seed=0), a)
@@ -225,10 +215,28 @@ def krivine_bound_check(h: HomogeneousFunction, rows, space: NormedSpace,
     The sampled sup_norm only ever understates the right side, so a pass is
     trustworthy regardless of sampling quality.
     """
-    a = _tuple_rows(rows, h.arity)
+    a = as_array(rows, (h.arity, None), "tuple")
     lhs = space.norm(krivine_apply(h, a))
     rhs = h.sup_norm * space.norm(np.abs(a).max(axis=0))
     return lhs, rhs, bool(lhs <= rhs * (1.0 + rtol) + 1e-300)
+
+
+def dual_ball_pairings(family: SeqNormFamily, rows: np.ndarray, samples: int,
+                       seed: int):
+    """``(combos, winners)``: the rows combined by seeded dual-unit-ball
+    vectors, and for lp families the closed-form maximizer of each
+    coordinate (one row per column of ``rows``; None for other families)."""
+    dual = kothe_dual(family)
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((samples, rows.shape[0]))
+    nrm = dual.norm_array(dirs)
+    keep = nrm > 0
+    dirs = dirs[keep] / nrm[keep, None]
+    winners = None
+    if isinstance(family, LpFamily):
+        winners = np.stack([dual_witness(dual, rows[:, w])
+                            for w in range(rows.shape[1])])
+    return dirs @ rows, winners
 
 
 @dataclass
@@ -247,18 +255,8 @@ def sup_representation(family: SeqNormFamily, rows, samples: int = 64,
     true lower bound pointwise.  For lp families the per-coordinate
     maximizers are closed-form and reproduce the norm exactly.
     """
-    a = _tuple_rows(rows)
-    n = a.shape[0]
+    a = as_array(rows, (None, None), "tuple")
     reference = lattice_valued_norm(family, a)
-    dual = kothe_dual(family)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, n))
-    nrm = dual.norm_array(dirs)
-    keep = nrm > 0
-    dirs = dirs[keep] / nrm[keep, None]
-    sampled = (dirs @ a).max(axis=0)
-    analytic = None
-    if isinstance(family, LpFamily):
-        winners = np.stack([dual_witness(dual, a[:, w]) for w in range(a.shape[1])])
-        analytic = np.einsum("wn,nw->w", winners, a)
-    return SupRepresentation(sampled, reference, analytic)
+    combos, winners = dual_ball_pairings(family, a, samples, seed)
+    analytic = None if winners is None else np.einsum("wn,nw->w", winners, a)
+    return SupRepresentation(combos.max(axis=0), reference, analytic)

@@ -1,4 +1,4 @@
-"""The two mixed norms on tuples, truncated sequences, and their checks.
+"""The two mixed norms on tuples, and their checks.
 
 For a tuple (x_1, ..., x_n) of vectors there are two natural norms built
 from a sequence-norm family:
@@ -14,70 +14,20 @@ infinite-dimensional objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError
-from .finite_lattice import (FiniteLattice, NormedSpace, lattice_valued_norm)
+from .errors import InputError
+from .finite_lattice import (FiniteLattice, NormedSpace, dual_ball_pairings,
+                             lattice_valued_norm)
 from .reporting import check_record, inputs_digest
-from .seq_lattice import LpFamily, SeqNormFamily, dual_witness, kothe_dual
-
-
-@dataclass(frozen=True)
-class VectorTuple:
-    """An n-tuple of vectors stored as an immutable (n, dim) table."""
-    rows: np.ndarray
-    space_tag: str = "lattice"
-
-    def __post_init__(self):
-        arr = np.array(self.rows, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise InputError(f"tuple rows must form a nonempty 2-d table, "
-                             f"got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("tuple contains non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rows", arr)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    def padded(self, extra: int = 1) -> "VectorTuple":
-        pad = np.zeros((extra, self.dim))
-        return VectorTuple(np.vstack([self.rows, pad]), self.space_tag)
-
-
-@dataclass(frozen=True)
-class TruncatedSequence:
-    """A vector tuple read as an eventually-zero sequence (implicit zero tail)."""
-    tuple: VectorTuple
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.tuple.rows
-
-    @property
-    def last_nonzero(self) -> int:
-        """1-based index of the last nonzero row; 0 when all rows vanish."""
-        alive = np.flatnonzero(np.any(self.tuple.rows != 0.0, axis=1))
-        return int(alive[-1] + 1) if alive.size else 0
+from .seq_lattice import SeqNormFamily, as_array, kothe_dual
 
 
 def as_rows(x, dim: int | None = None) -> np.ndarray:
-    a = np.asarray(getattr(x, "rows", x), dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise InputError(f"expected a nonempty (n, dim) array, got {a.shape}")
-    if dim is not None and a.shape[1] != dim:
-        raise DimensionMismatchError(
-            f"rows have dimension {a.shape[1]}, expected {dim}")
-    return a
+    """A tuple of vectors as a validated (n, dim) array."""
+    return as_array(x, (None, dim), "tuple")
 
 
 def strong_mixed_norm_batch(space: NormedSpace, family: SeqNormFamily,
@@ -121,7 +71,7 @@ def mixed_norm_equivalence_check(space: FiniteLattice, family: SeqNormFamily,
 
 
 def tail_profile(family: SeqNormFamily, space: NormedSpace,
-                 seq: TruncatedSequence | VectorTuple | np.ndarray,
+                 seq: np.ndarray,
                  flavor: str = "strong") -> np.ndarray:
     """Mixed norms of the tails: entry k is the norm with rows before k zeroed.
 
@@ -150,10 +100,7 @@ def sequence_pairing(space: NormedSpace, family: SeqNormFamily,
     dual family) with the strong mixed norm of the vectors.
     """
     s = as_rows(functionals, space.dim)
-    w = as_rows(rows, space.dim)
-    if s.shape[0] != w.shape[0]:
-        raise DimensionMismatchError(
-            f"{s.shape[0]} functionals against {w.shape[0]} vectors")
+    w = as_array(rows, s.shape, "tuple")
     value = float((s * w).sum())
     lhs = abs(value)
     rhs = (strong_mixed_norm(space.dual(), kothe_dual(family), s)
@@ -172,10 +119,7 @@ def lattice_holder_check(space: FiniteLattice, family: SeqNormFamily,
     of the two lattice-valued norms (family on the vectors, dual family on
     the functionals)."""
     x = as_rows(vectors, space.dim)
-    phi = as_rows(functionals, space.dim)
-    if x.shape != phi.shape:
-        raise DimensionMismatchError(
-            f"tuples have shapes {x.shape} and {phi.shape}")
+    phi = as_array(functionals, x.shape, "tuple")
     dual_family = dual_family or kothe_dual(family)
     lhs = float(np.abs((x * phi).sum(axis=1)).sum())
     rhs = float(lattice_valued_norm(family, x)
@@ -192,10 +136,7 @@ def riesz_join_check(functionals, x, trials: int = 100, seed: int = 0,
     atomic lattice; random nonnegative splits never exceed it.
     """
     phis = as_rows(functionals)
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1 or xv.shape[0] != phis.shape[1]:
-        raise DimensionMismatchError(
-            f"x has shape {xv.shape}, functionals act on R^{phis.shape[1]}")
+    xv = as_array(x, (phis.shape[1],), "x")
     if np.any(xv < 0.0):
         raise InputError("x must be coordinatewise nonnegative")
     join = phis.max(axis=0)
@@ -237,20 +178,12 @@ def join_bound_check(space: FiniteLattice, family: SeqNormFamily, rows,
     per-coordinate maximizers drive the join up to equality.
     """
     a = as_rows(rows, space.dim)
-    n = a.shape[0]
     tau = pointwise_mixed_norm(space, family, a)
-    dual = kothe_dual(family)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, n))
-    nrm = dual.norm_array(dirs)
-    keep = nrm > 0
-    dirs = dirs[keep] / nrm[keep, None]
-    combos = dirs @ a
+    combos, winners = dual_ball_pairings(family, a, samples, seed)
     sampled = float(space.norm(np.abs(combos).max(axis=0)))
     holds = sampled <= tau * (1.0 + rtol) + 1e-300
     gap = None
-    if isinstance(family, LpFamily):
-        winners = np.stack([dual_witness(dual, a[:, w]) for w in range(a.shape[1])])
+    if winners is not None:
         lifted = float(space.norm((winners @ a).max(axis=0)))
         gap = abs(lifted - tau) / max(tau, 1e-300)
     return JoinBoundReport(sampled, tau, bool(holds), gap)

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError
 from .finite_lattice import NormedSpace
 from .mixed_norms import as_rows, strong_mixed_norm
 from .optimize import AscentBudget, AscentResult, maximize_ratio
-from .seq_lattice import SeqNormFamily
+from .seq_lattice import SeqNormFamily, as_array
 
 
 @dataclass
@@ -27,15 +27,8 @@ class OperatorInstance:
     label: str = "T"
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.size == 0:
-            raise InputError(f"operator matrix must be 2-d, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("operator matrix has non-finite entries")
-        if m.shape != (self.codomain.dim, self.domain.dim):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not map "
-                f"R^{self.domain.dim} into R^{self.codomain.dim}")
+        m = np.array(as_array(self.matrix, (self.codomain.dim, self.domain.dim),
+                              "operator matrix"))
         m.setflags(write=False)
         self.matrix = m
 
@@ -43,22 +36,14 @@ class OperatorInstance:
     def in_dim(self) -> int:
         return self.domain.dim
 
-    @property
-    def out_dim(self) -> int:
-        return self.codomain.dim
-
 
 def apply(op: OperatorInstance, w) -> np.ndarray:
-    v = np.asarray(w, dtype=float)
-    if v.shape != (op.in_dim,):
-        raise DimensionMismatchError(
-            f"vector of shape {v.shape} fed to operator on R^{op.in_dim}")
-    return op.matrix @ v
+    return op.matrix @ as_array(w, (op.in_dim,), "vector")
 
 
 def apply_n(op: OperatorInstance, rows) -> np.ndarray:
     """Rowwise application to a tuple; leading axes are batches."""
-    a = np.asarray(getattr(rows, "rows", rows), dtype=float)
+    a = np.asarray(rows, dtype=float)
     if a.shape[-1] != op.in_dim:
         raise DimensionMismatchError(
             f"tuple rows of length {a.shape[-1]} fed to operator on R^{op.in_dim}")

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError
+from .errors import DescriptorError, DimensionMismatchError, InputError
 from .seeding import spawn_rngs
 
 # Fixed bisection count keeps the Luxemburg value independent of how calls
@@ -43,13 +43,59 @@ def strip_trailing_zeros(values: np.ndarray) -> np.ndarray:
     return a[..., :keep] if keep < n else a
 
 
-def as_vector(t) -> np.ndarray:
-    a = np.asarray(t, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise InputError(f"expected a nonempty 1-d real vector, got shape {a.shape}")
+def as_array(x, shape: tuple, what: str = "input") -> np.ndarray:
+    """``x`` as a nonempty, finite float array of the given shape.
+
+    ``shape`` has one entry per axis: a length, or None for any length.
+    Entries that are not real numbers, empty or non-finite input raise
+    InputError; a length other than a fixed one, DimensionMismatchError.
+    """
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must hold real numbers: {exc}") from None
+    if a.ndim != len(shape) or a.size == 0:
+        raise InputError(f"expected a nonempty {len(shape)}-d {what}, "
+                         f"got shape {a.shape}")
+    for got, want in zip(a.shape, shape):
+        if want is not None and got != want:
+            raise DimensionMismatchError(
+                f"{what} has shape {a.shape}, expected "
+                f"{tuple('*' if w is None else w for w in shape)}")
     if not np.all(np.isfinite(a)):
-        raise InputError("vector has non-finite entries")
+        raise InputError(f"{what} has non-finite entries")
     return a
+
+
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def config_field(obj: dict, key: str, kind, default=_REQUIRED, *,
+                 low=None, where: str = "config"):
+    """``obj[key]`` checked against ``kind``; ``default`` when it is absent.
+
+    ``kind`` is int, float, str, list or dict, or a tuple of them.  An int
+    passes as a float, a bool never passes as a number, and ``low`` bounds
+    numbers from below; every violation raises DescriptorError.  A float
+    field comes back as a float.
+    """
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if key not in obj:
+        if default is _REQUIRED:
+            raise DescriptorError(f"{where} is missing required field {key!r}")
+        return default
+    value = obj[key]
+    accepted = tuple(t for k in kinds for t in ((int, float) if k is float
+                                                else (k,)))
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        problem = "must be " + " or ".join(_KIND_NAMES[k] for k in kinds)
+    elif low is not None and not value >= low:  # NaN included
+        problem = f"must be at least {low}"
+    else:
+        return float(value) if kinds == (float,) else value
+    raise DescriptorError(f"{where} field {key!r} {problem}, got {value!r}")
 
 
 class SeqNormFamily:
@@ -66,7 +112,7 @@ class SeqNormFamily:
 
     def norm(self, t) -> float:
         """Norm of a single finite vector."""
-        v = as_vector(t)
+        v = as_array(t, (None,), "vector")
         self.check_length(v.shape[-1])
         return float(self.norm_array(v))
 
@@ -139,9 +185,10 @@ class LpFamily(SeqNormFamily):
         if self.p == 1.0:
             return a.sum(axis=-1)
         m = a.max(axis=-1, keepdims=True)
-        scale = np.where(m > 0.0, m, 1.0)
+        # zero rows are found by equality, so a row with a NaN stays NaN
+        scale = np.where(m == 0.0, 1.0, m)
         body = ((a / scale) ** self.p).sum(axis=-1) ** (1.0 / self.p)
-        return np.where(m[..., 0] > 0.0, scale[..., 0] * body, 0.0)
+        return np.where(m[..., 0] == 0.0, 0.0, scale[..., 0] * body)
 
     def norm_gradient(self, values, norms=None):
         a = np.asarray(values, dtype=float)
@@ -176,7 +223,7 @@ class WeightedLpFamily(SeqNormFamily):
         p = float(p)
         if math.isnan(p) or p < 1.0:
             raise InputError(f"lp exponent must satisfy p >= 1, got {p}")
-        w = as_vector(weights)
+        w = as_array(weights, (None,), "weights")
         if np.any(w <= 0.0):
             raise InputError("weights must be strictly positive")
         self.p = p
@@ -193,10 +240,7 @@ class WeightedLpFamily(SeqNormFamily):
 
     def _scaled(self, values):
         a = np.asarray(values, dtype=float)
-        if a.shape[-1] > len(self.weights):
-            raise InputError(
-                f"{self.label}: length {a.shape[-1]} exceeds the "
-                f"{len(self.weights)} coordinates covered by the weights")
+        self.check_length(a.shape[-1])
         a = strip_trailing_zeros(a)
         return a * self._scaling[:a.shape[-1]]
 
@@ -206,10 +250,7 @@ class WeightedLpFamily(SeqNormFamily):
     def norm_gradient(self, values, norms=None):
         a = np.asarray(values, dtype=float)
         n = a.shape[-1]
-        if n > len(self.weights):
-            raise InputError(
-                f"{self.label}: length {n} exceeds the {len(self.weights)} "
-                f"coordinates covered by the weights")
+        self.check_length(n)
         scaled = a * self._scaling[:n]
         return self._core.norm_gradient(scaled, norms) * self._scaling[:n]
 
@@ -304,7 +345,7 @@ class OrliczFamily(SeqNormFamily):
             raise InputError("empty vector")
         m = a.max(axis=-1)
         support = np.count_nonzero(a, axis=-1)
-        active = m > 0.0
+        active = m != 0.0  # a row with a NaN stays NaN
         u1 = self.phi.unit_level
         # rows whose bracket sum lo + hi would overflow are bisected rescaled
         # by their max (the norm is homogeneous); other rows are untouched
@@ -405,9 +446,6 @@ class DualNormResult:
     witness: np.ndarray
     converged: bool
     method: str
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _structured_dual_inits(targets: np.ndarray):
@@ -544,7 +582,7 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
     runs seeded restarts on top of the deterministic start set and reports a
     convergence flag (at least two starts reaching the best value).
     """
-    b = as_vector(beta)
+    b = as_array(beta, (None,), "vector")
     family.check_length(len(b))
     analytic = _analytic_dual(family)
     if method == "auto":
@@ -574,39 +612,13 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
     return DualNormResult(best, witness[0] * np.sign(b), agree >= 2, "numeric")
 
 
-@dataclass(frozen=True)
-class KotheDualDescriptor:
-    """A dual-norm evaluation recipe bound to a base family.
-
-    ``method`` is "auto", "analytic" or "numeric"; the budget fields only
-    matter on the numeric branch.  Calling ``norm`` evaluates the dual norm
-    of one vector under that recipe.
-    """
-    base: SeqNormFamily
-    method: str = "auto"
-    restarts: int = 32
-    iterations: int = 300
-    seed: int = 0
-    step0: float = 0.25
-
-    def norm(self, beta) -> DualNormResult:
-        return kothe_dual_norm(self.base, beta, self.method,
-                               restarts=self.restarts,
-                               iterations=self.iterations, seed=self.seed,
-                               step0=self.step0)
-
-    def family(self) -> SeqNormFamily:
-        return kothe_dual(self.base, iterations=self.iterations,
-                          step0=self.step0)
-
-
 def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
     """A unit vector alpha with sum(alpha * beta) equal to the dual norm.
 
     Closed form for lp-type families; ascent witness otherwise.  Returns a
     signed vector, so the plain (not absolute) pairing attains the value.
     """
-    b = as_vector(beta)
+    b = as_array(beta, (None,), "vector")
     if isinstance(family, WeightedLpFamily):
         s = family._scaling[:len(b)]
         core = dual_witness(LpFamily(family.p), np.abs(b) / s)
@@ -633,11 +645,8 @@ def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
 
 def holder_check(family: SeqNormFamily, alpha, beta, rtol: float = 1e-9):
     """Pairing bound: sum |a_i b_i| against ||a|| times the dual norm of b."""
-    a = as_vector(alpha)
-    b = as_vector(beta)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"vectors have lengths {len(a)} and {len(b)}")
+    a = as_array(alpha, (None,), "vector")
+    b = as_array(beta, a.shape, "vector")
     lhs = float(np.abs(a * b).sum())
     rhs = family.norm(a) * kothe_dual_norm(family, b).value
     return lhs, rhs, bool(lhs <= rhs * (1.0 + rtol) + 1e-300)

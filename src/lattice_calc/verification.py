@@ -14,9 +14,9 @@ import numpy as np
 from .constants import (brute_force_constant, convexity_ratio, duality_check,
                         estimate_constant, functional_norm, lattice_constants)
 from .errors import InputError
-from .finite_lattice import (FiniteLattice, NormedSpace, homogeneous, lattice,
-                             lattice_valued_norm, norm_function, projection,
-                             sup_representation)
+from .finite_lattice import (homogeneous, krivine_apply, krivine_compose_check,
+                             lattice, lattice_valued_norm, norm_function,
+                             projection, sup_representation)
 from .mixed_norms import (join_bound_check, mixed_norm_equivalence_check,
                           pointwise_mixed_norm, pointwise_mixed_norm_batch,
                           riesz_join_check, strong_mixed_norm,
@@ -27,8 +27,8 @@ from .optimize import AscentBudget, maximize_ratio
 from .reporting import check_record, inputs_digest
 from .seeding import spawn_rngs
 from .seq_lattice import (LpFamily, NumericDualFamily, OrliczFamily,
-                          SeqNormFamily, WeightedLpFamily, dual_witness,
-                          kothe_dual, kothe_dual_norm)
+                          SeqNormFamily, WeightedLpFamily, config_field,
+                          dual_witness, kothe_dual, kothe_dual_norm)
 from .descriptors import parse_gauge
 
 DEFAULT_COUNTS = {
@@ -78,12 +78,16 @@ def dual_families() -> list[SeqNormFamily]:
 
 
 def _merge_counts(counts: dict | None) -> dict:
+    """The defaults overridden by ``counts``: positive integers, and a
+    ``max_length`` of at least 2."""
     merged = dict(DEFAULT_COUNTS)
     if counts:
         unknown = set(counts) - set(DEFAULT_COUNTS)
         if unknown:
             raise InputError(f"unknown count keys {sorted(unknown)}")
-        merged.update(counts)
+        for key in counts:
+            merged[key] = config_field(counts, key, int, where="counts",
+                                       low=2 if key == "max_length" else 1)
     return merged
 
 
@@ -91,10 +95,6 @@ def _worst_record(op, worst, tol, family, seed, probes):
     return check_record(op, worst, tol, worst <= tol,
                         inputs_digest(op, family, probes, seed),
                         seed=seed, family=family, probes=probes)
-
-
-def _analytic_dual_values(family, betas):
-    return kothe_dual(family).norm_array(betas)
 
 
 def norm_family_suite(counts: dict | None = None, seed: int = 0,
@@ -170,7 +170,7 @@ def kothe_suite(counts: dict | None = None, seed: int = 100) -> list[dict]:
     for fam in analytic:
         n = 4
         betas = rngs[0].standard_normal((probes, n)) * 2.0
-        ana = _analytic_dual_values(fam, betas)
+        ana = kothe_dual(fam).norm_array(betas)
         num = NumericDualFamily(fam).norm_array(betas)
         worst = float((np.abs(num - ana) / np.maximum(ana, 1e-300)).max())
         for b in betas[:8]:
@@ -342,7 +342,6 @@ def krivine_suite(counts: dict | None = None, seed: int = 200) -> list[dict]:
                                  worst["positive_map"], 1e-12, "all", seed, inst))
 
     # the calculus turns pointwise maxima of functions into joins of outputs
-    from .finite_lattice import krivine_apply
     join_exact = True
     for k in range(32):
         rng = np.random.default_rng(seed * 19 + k)
@@ -365,7 +364,6 @@ def krivine_suite(counts: dict | None = None, seed: int = 200) -> list[dict]:
 
     # composition identity is bitwise in the pointwise realization
     comp = counts["compose_instances"]
-    from .finite_lattice import krivine_compose_check
     exact = True
     for k in range(comp):
         rng = np.random.default_rng(seed * 1000 + k)

@@ -1,9 +1,14 @@
 """CLI tasks, report schema, exit statuses and replay determinism."""
 
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lattice_calc.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR,
                               EXIT_NONCONVERGENT, EXIT_OK, main, run)
@@ -156,3 +161,116 @@ def test_seed_override_changes_probes(tmp_path):
     assert a["seed"] == 1 and b["seed"] == 2
     assert a["results"]["summary"]["passed"]
     assert b["results"]["summary"]["passed"]
+
+
+_L2 = {"kind": "lp", "p": 2}
+_TINY_BUDGET = {"restarts": 2, "iterations": 5, "step0": 0.25}
+_OP = {"matrix": [[1, 0], [0, 1]], "domain": _L2, "codomain": _L2,
+       "label": "id"}
+
+# small valid configs, one per task and function kind; the duality gap
+# tolerance of 1 always holds (the relative gap never exceeds 1)
+_VALID = [
+    {"task": "norm", "seed": 0, "family": _L2, "vector": [3, 4]},
+    {"task": "dualnorm", "seed": 1, "vector": [1, -2], "method": "numeric",
+     "family": {"kind": "weighted_lp", "p": 1.5, "weights": [1, 2]},
+     "budget": _TINY_BUDGET},
+    {"task": "krivine", "tuple": [[1, 2], [3, 4]],
+     "function": {"kind": "norm", "family": {"kind": "orlicz", "phi": "u^2"}}},
+    {"task": "krivine", "tuple": [[1, 2], [3, 4]],
+     "function": {"kind": "projection", "index": 1}},
+    {"task": "constant", "seed": 2, "flavor": "concavity", "n_max": 1,
+     "family": {"kind": "lp", "p": "inf"}, "budget": _TINY_BUDGET,
+     "operator": {"random": {"rows": 2, "cols": 2, "seed": 1},
+                  "domain": _L2, "codomain": {"kind": "lp", "p": 1}}},
+    {"task": "duality", "seed": 0, "n": 1, "gap_tolerance": 1.0,
+     "family": _L2, "operator": _OP, "budget": _TINY_BUDGET},
+    {"task": "verify", "seed": 0,
+     "counts": dict({k: 2 for k in SMALL_COUNTS}, max_length=3)},
+]
+
+# each exited 1 with a traceback (or, for the seed, was truncated)
+_MALFORMED = {
+    "vector_a": {"task": "norm", "family": _L2, "vector": ["a"]},
+    "random_no_cols": {"task": "constant", "family": _L2, "operator": {
+        "random": {"rows": 2}, "domain": _L2, "codomain": _L2}},
+    "n_max_two": {"task": "constant", "family": _L2, "operator": _OP,
+                  "n_max": "two"},
+    "weights_ab": {"task": "norm", "vector": [1, 2], "family": {
+        "kind": "weighted_lp", "p": 2, "weights": "ab"}},
+    "p_list": {"task": "norm", "family": {"kind": "lp", "p": [2]},
+               "vector": [1, 2]},
+    "tuple_x": {"task": "krivine", "tuple": [["x"]],
+                "function": {"kind": "projection", "index": 0}},
+    "restarts_x": {"task": "dualnorm", "family": _L2, "vector": [1, 2],
+                   "budget": {"restarts": "x"}},
+    "phi_5": {"task": "norm", "family": {"kind": "orlicz", "phi": 5},
+              "vector": [1]},
+    "operator_5": {"task": "duality", "family": _L2, "operator": 5},
+    "function_str": {"task": "krivine", "tuple": [[1, 2]],
+                     "function": "norm"},
+    "count_x": {"task": "verify", "counts": {"family_probes": "x"}},
+    "max_length_1": {"task": "verify", "counts": {"max_length": 1}},
+    "seed_1.5": {"task": "norm", "family": _L2, "vector": [3, 4],
+                 "seed": 1.5},
+}
+
+
+def _main_quietly(config: dict, out_dir) -> tuple[int, str]:
+    """Exit status and stderr of the CLI on ``config``."""
+    path = out_dir / "config.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main([config["task"], "--config", str(path),
+                       "--out", str(out_dir / "report.json")])
+    return status, err.getvalue()
+
+
+@pytest.mark.parametrize("config", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_field_exits_2_with_one_line(config, tmp_path):
+    status, err = _main_quietly(config, tmp_path)
+    assert status == EXIT_INPUT_ERROR
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+
+
+def _field_paths(node, prefix=()):
+    """Paths to every field of a config, nested ones included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_FIELDS = [(k, path) for k, cfg in enumerate(_VALID)
+           for path in _field_paths(cfg) if path != ("task",)]
+_WRONG_TYPED = st.one_of(
+    st.text(alphabet="xyz ", max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["csv", "rows", "a"]), st.integers(0, 2),
+                    min_size=1, max_size=1),
+    st.none(), st.booleans(), st.sampled_from([0.5, -0.5, 1.5, 2.75]))
+
+
+@seed(10)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FIELDS), _WRONG_TYPED)
+def test_wrong_typed_field_never_exits_1(tmp_path_factory, field, value):
+    k, path = field
+    config = copy.deepcopy(_VALID[k])
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    status, err = _main_quietly(config, tmp_path_factory.mktemp("fuzz"))
+    assert status in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_NONCONVERGENT), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", _VALID,
+                         ids=[f"{c['task']}{k}" for k, c in enumerate(_VALID)])
+def test_fuzz_base_configs_are_valid(config, tmp_path):
+    status, err = _main_quietly(config, tmp_path)
+    assert status in (EXIT_OK, EXIT_NONCONVERGENT), err

@@ -1,4 +1,4 @@
-"""Mixed tuple norms, truncated sequences and the pairing checks."""
+"""Mixed tuple norms and the pairing checks."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from lattice_calc import (DimensionMismatchError, InputError, LpFamily,
-                          OrliczFamily, TruncatedSequence, VectorTuple,
-                          join_bound_check, lattice, lattice_holder_check,
-                          mixed_norm_equivalence_check, parse_gauge,
-                          pointwise_mixed_norm, riesz_join_check,
+                          OrliczFamily, join_bound_check, lattice,
+                          lattice_holder_check, mixed_norm_equivalence_check,
+                          parse_gauge, pointwise_mixed_norm, riesz_join_check,
                           sequence_pairing, strong_mixed_norm, tail_profile)
 from lattice_calc.seq_lattice import kothe_dual
 
@@ -51,6 +50,10 @@ def test_strong_mixed_norm_padding():
     padded = np.vstack([w, np.zeros((1, 2))])
     assert strong_mixed_norm(E, LpFamily(1), padded) == \
         strong_mixed_norm(E, LpFamily(1), w)
+    # a tuple ending in a zero row has the norm of the tuple without it
+    rows = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 0.0]])
+    assert strong_mixed_norm(E, LpFamily(1.5), rows) == \
+        strong_mixed_norm(E, LpFamily(1.5), rows[:2])
 
 
 def test_strong_mixed_norm_orlicz_recomposition():
@@ -137,26 +140,6 @@ def test_tail_profile_values_and_monotonicity():
             seq = rng.standard_normal((4, 2))
             prof = tail_profile(fam, E, seq, flavor)
             assert np.all(np.diff(prof) <= prof[0] * 1e-12)
-
-
-def test_truncated_sequence_norm_at_last_nonzero():
-    E = lattice(2, LpFamily(2))
-    fam = LpFamily(1.5)
-    rows = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 0.0]])
-    seq = TruncatedSequence(VectorTuple(rows))
-    assert seq.last_nonzero == 2
-    assert strong_mixed_norm(E, fam, rows) == \
-        strong_mixed_norm(E, fam, rows[:2])
-
-
-def test_vector_tuple_immutable_and_validated():
-    vt = VectorTuple(np.array([[1.0, 2.0]]))
-    with pytest.raises(ValueError):
-        vt.rows[0, 0] = 3.0
-    with pytest.raises(InputError):
-        VectorTuple(np.array([1.0, 2.0]))
-    padded = vt.padded(2)
-    assert padded.n == 3 and padded.dim == 2
 
 
 def test_sequence_pairing_values_and_bound():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           OrliczFunction, WeightedLpFamily, dual_witness,
-                          holder_check, kothe_dual, kothe_dual_norm,
-                          parse_gauge)
+                          holder_check, kothe_dual, kothe_dual_norm, lattice,
+                          parse_gauge, strong_mixed_norm)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -255,3 +255,24 @@ def test_invalid_gauges_rejected():
 def test_nonfinite_vector_rejected():
     with pytest.raises(InputError):
         LpFamily(2).norm([1.0, float("nan")])
+
+
+def test_norm_array_keeps_nan_rows():
+    # a NaN row is not a zero row: every family reports NaN for it, and
+    # the finite rows of the same batch keep their values bit for bit
+    batch = np.array([[np.nan, 1.0], [0.0, 0.0], [3.0, -4.0], [1e-300, 2.0]])
+    fams = [LpFamily(1), LpFamily(1.5), LpFamily(2), LpFamily(np.inf),
+            WeightedLpFamily(3, [2.0, 0.5]), OrliczFamily(parse_gauge("u^2"))]
+    for fam in fams:
+        vals = fam.norm_array(batch)
+        assert np.isnan(vals[0]), fam.label
+        assert np.array_equal(vals[1:], fam.norm_array(batch[1:])), fam.label
+        assert vals[1] == 0.0
+
+
+def test_scalar_entry_points_reject_nan():
+    E = lattice(2, LpFamily(2))
+    with pytest.raises(InputError):
+        strong_mixed_norm(E, LpFamily(2), [[np.nan, 1.0]])
+    with pytest.raises(InputError):
+        kothe_dual_norm(LpFamily(2), ["a", 1.0])
