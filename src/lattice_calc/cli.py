@@ -25,11 +25,13 @@ Operators: {"matrix": [[...], ...] | "matrix_csv": "path"
             "domain": <family descriptor>, "codomain": <family descriptor>,
             "label": "T"}
 
-Every field is type-checked ("seed" is a nonnegative integer; a bool is
-never a number).  Reports are deterministic for a fixed config (no
-timestamps), so replaying a run yields a byte-identical file.  Exit status:
-0 success, 1 a check failed, 2 invalid input (malformed fields included),
-3 a numeric routine did not converge.
+Budget keys are "restarts", "iterations" and "step0" (the initial step of
+the numeric dual ascent); any other key is invalid input.  Every field is
+type-checked ("seed" is a nonnegative integer; a bool is never a number).
+Reports are deterministic for a fixed config (no timestamps), so replaying
+a run yields a byte-identical file.  Exit status: 0 success, 1 a check
+failed, 2 invalid input (malformed fields included), 3 a numeric routine
+did not converge.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _load_table(source, what: str) -> np.ndarray:
     if isinstance(source, dict):
         path = config_field(source, "csv", str, where=what)
         try:
-            source = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+            source = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
         except OSError as exc:
             raise InputError(f"cannot read {what} from {path}: {exc}")
         except ValueError as exc:
@@ -76,6 +78,9 @@ def _load_table(source, what: str) -> np.ndarray:
 
 def _budget(config: dict, default: AscentBudget) -> AscentBudget:
     raw = config_field(config, "budget", dict, {})
+    unknown = set(raw) - {"restarts", "iterations", "step0"}
+    if unknown:
+        raise InputError(f"unknown budget keys {sorted(unknown)}")
     return AscentBudget(
         config_field(raw, "restarts", int, default.restarts, where="budget"),
         config_field(raw, "iterations", int, default.iterations, where="budget"),

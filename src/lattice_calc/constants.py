@@ -3,11 +3,11 @@
 The convexity constant of T at truncation level n is the best ratio of the
 pointwise mixed norm of the lifted tuple to the strong mixed norm of the
 original; the concavity constant swaps the roles.  Both are suprema over
-tuples, estimated from below by projected ascent on the denominator sphere
-with seeded restarts, or certified on tiny instances by an exhaustive
-spherical grid.  Duality ties the two flavors together: the level-n
-convexity bound of T and the level-n concavity bound of its transpose
-(under the dual family) estimate the same number.
+tuples, estimated from below by a power iteration over the support maps of
+the mixed-norm unit balls with seeded restarts, or certified on tiny
+instances by an exhaustive spherical grid.  Duality ties the two flavors
+together: the level-n convexity bound of T and the level-n concavity bound
+of its transpose (under the dual family) estimate the same number.
 """
 
 from __future__ import annotations
@@ -100,6 +100,44 @@ def _ratio_callables(op: OperatorInstance, family: SeqNormFamily,
     return numer, denom
 
 
+def _strong_support(space_family: SeqNormFamily, family: SeqNormFamily,
+                    s: np.ndarray) -> np.ndarray:
+    """argmax of sum_j <x_j, s_j> over the strong mixed-norm unit ball:
+    x_j = c_j W_E(s_j) with c = W_Y((<W_E(s_j), s_j>)_j); s is (..., n, d)."""
+    rows = dual_witness(space_family, s)
+    return dual_witness(family, (rows * s).sum(axis=-1))[..., None] * rows
+
+
+def _pointwise_support(space_family: SeqNormFamily, family: SeqNormFamily,
+                       s: np.ndarray) -> np.ndarray:
+    """argmax of sum_j <x_j, s_j> over the pointwise mixed-norm unit ball:
+    x_j(w) = a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings."""
+    cols = np.swapaxes(s, -1, -2)
+    fibers = dual_witness(family, cols)
+    scale = dual_witness(space_family, (fibers * cols).sum(axis=-1))
+    return np.swapaxes(scale[..., None] * fibers, -1, -2)
+
+
+def _power_step(op: OperatorInstance, family: SeqNormFamily, flavor: str,
+                n: int):
+    """One power step on flattened n-tuples: the numerator's dual support
+    at T x, pulled back by the transpose, then the denominator's support."""
+    mat = op.matrix
+    din = op.in_dim
+    dom = op.domain.family
+    cod_dual = kothe_dual(op.codomain.family)
+    fam_dual = kothe_dual(family)
+    if flavor == "convexity":
+        lift, pull = _pointwise_support, _strong_support
+    else:
+        lift, pull = _strong_support, _pointwise_support
+
+    def step(z):
+        y_star = lift(cod_dual, fam_dual, z.reshape(-1, n, din) @ mat.T)
+        return pull(dom, family, y_star @ mat).reshape(len(z), -1)
+    return step
+
+
 def convexity_ratio(op: OperatorInstance, family: SeqNormFamily, rows) -> float:
     """Pointwise mixed norm of the lifted tuple over the strong mixed norm."""
     _check_flavor(op, "convexity")
@@ -141,7 +179,7 @@ def _structured_tuples(n: int, din: int, rng: np.random.Generator) -> list[np.nd
 def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
                       n_max: int, budget: AscentBudget | None = None,
                       seed: int = 0) -> ConstantEstimate:
-    """Per-level lower bounds by ascent, nondecreasing in the level.
+    """Per-level lower bounds by power iteration, nondecreasing in the level.
 
     Level n + 1 is seeded with the level-n witness padded by a zero row, so
     the reported bounds inherit the prefix monotonicity of the mixed norms
@@ -164,7 +202,8 @@ def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
             inits.append(np.vstack([prev.witness, np.zeros((1, din))]))
         inits.extend(_structured_tuples(n, din, level_rngs[n - 1]))
         result = maximize_ratio(numer, denom, n * din, seed=seed + 7919 * n,
-                                budget=budget, inits=inits)
+                                budget=budget, inits=inits,
+                                step=_power_step(op, family, flavor, n))
         value = result.value
         witness = result.argmax.reshape(n, din)
         if bounds and bounds[-1].value > value:
@@ -172,7 +211,7 @@ def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
             witness = np.vstack([bounds[-1].witness, np.zeros((1, din))])
         bounds.append(LevelBound(n, float(value), witness, result.converged))
     meta = {"restarts": budget.restarts, "iterations": budget.iterations,
-            "step0": budget.step0, "seed": seed, "method": "projected-ascent"}
+            "seed": seed, "method": "power-iteration"}
     return ConstantEstimate(flavor, family.label, op.label, bounds, meta)
 
 
@@ -320,51 +359,34 @@ def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
 
     ``flavor`` picks the ball: "strong" for the row-norm mixed norm,
     "pointwise" for the functional-calculus one (lattice required).  The
-    value is an ascent lower bound with a convergence flag.
+    numerator is linear, so the power step maps every start to the support
+    map of the ball at s; the value is a lower bound with a convergence
+    flag, exact for lp-type families.
     """
     s = as_rows(functionals, space.dim)
     n = s.shape[0]
     family.check_length(n)
     if flavor == "strong":
-        def denom(z):
-            return strong_mixed_norm_batch(space, family,
-                                           z.reshape(-1, n, space.dim))
+        norm_batch, support = strong_mixed_norm_batch, _strong_support
     elif flavor == "pointwise":
         if not isinstance(space, FiniteLattice):
             raise InputError("pointwise functional norms need a lattice")
-
-        def denom(z):
-            return pointwise_mixed_norm_batch(space, family,
-                                              z.reshape(-1, n, space.dim))
+        norm_batch, support = pointwise_mixed_norm_batch, _pointwise_support
     else:
         raise InputError(f"unknown flavor {flavor!r}")
 
     def numer(z):
         return np.abs((z.reshape(-1, n, space.dim) * s).sum(axis=(-1, -2)))
 
-    inits = [_pairing_witness_tuple(space, family, s), _cyclic_tuple(n, space.dim)]
+    def denom(z):
+        return norm_batch(space, family, z.reshape(-1, n, space.dim))
+
+    best = support(space.family, family, s).ravel()
     result = maximize_ratio(numer, denom, n * space.dim, seed=seed,
-                            budget=budget or AscentBudget(), inits=inits)
+                            budget=budget or AscentBudget(),
+                            step=lambda z: np.broadcast_to(best, z.shape))
     return FunctionalNormResult(result.value, result.argmax.reshape(n, space.dim),
                                 result.converged)
-
-
-def _pairing_witness_tuple(space: NormedSpace, family: SeqNormFamily,
-                           s: np.ndarray) -> np.ndarray:
-    """Row directions that attain each functional, scaled by the dual-family
-    witness of the row-norm profile; optimal for the strong flavor on
-    analytic families and a strong start elsewhere."""
-    n = s.shape[0]
-    rows = np.zeros_like(s)
-    profile = np.zeros(n)
-    for j in range(n):
-        if np.any(s[j] != 0.0):
-            rows[j] = dual_witness(space.family, s[j])
-            profile[j] = float(rows[j] @ s[j])
-        else:
-            rows[j][0] = 1.0
-    weights = np.abs(dual_witness(family, profile))
-    return rows * weights[:, None]
 
 
 @dataclass

@@ -234,8 +234,7 @@ def dual_ball_pairings(family: SeqNormFamily, rows: np.ndarray, samples: int,
     dirs = dirs[keep] / nrm[keep, None]
     winners = None
     if isinstance(family, LpFamily):
-        winners = np.stack([dual_witness(dual, rows[:, w])
-                            for w in range(rows.shape[1])])
+        winners = dual_witness(dual, rows.T)
     return dirs @ rows, winners
 
 

@@ -547,26 +547,40 @@ class NumericDualFamily(SeqNormFamily):
         return self.base.max_length()
 
     def norm_array(self, values):
-        a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
-        if a.shape[-1] == 0:
-            raise InputError("empty vector")
-        flat = a.reshape(-1, a.shape[-1])
-        scale = flat.max(axis=-1)
-        active = scale > 0.0
-        out = np.zeros(flat.shape[0])
-        if np.any(active):
-            normed = flat[active] / scale[active, None]
-            iterated, static = _structured_dual_inits(normed)
-            vals, _, _ = _linear_ascent(self.base, normed, iterated,
-                                        self.iterations, self.step0,
-                                        static=static)
-            out[active] = vals * scale[active]
-        return out.reshape(a.shape[:-1])
+        return _ascent_dual(self.base, values, self.iterations, self.step0)[0]
+
+
+def _ascent_dual(base: SeqNormFamily, values, iterations: int = 150,
+                 step0: float = 0.25):
+    """Koethe dual norms of ``values`` (leading axes are batches) over
+    ``base`` and their nonnegative unit witnesses (zero for a zero row), by
+    positive-sphere ascent from ``_structured_dual_inits`` of each row."""
+    a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
+    if a.shape[-1] == 0:
+        raise InputError("empty vector")
+    flat = a.reshape(-1, a.shape[-1])
+    scale = flat.max(axis=-1)
+    active = scale > 0.0
+    out = np.zeros(flat.shape[0])
+    witness = np.zeros(np.shape(values))
+    if np.any(active):
+        normed = flat[active] / scale[active, None]
+        iterated, static = _structured_dual_inits(normed)
+        vals, best, _ = _linear_ascent(base, normed, iterated, iterations,
+                                       step0, static=static)
+        out[active] = vals * scale[active]
+        found = np.zeros_like(flat)
+        found[active] = best
+        witness[..., :a.shape[-1]] = found.reshape(a.shape)
+    return out.reshape(a.shape[:-1]), witness
 
 
 def kothe_dual(family: SeqNormFamily, iterations: int = 150,
                step0: float = 0.25) -> SeqNormFamily:
-    """The Koethe dual family: analytic for lp-type, numeric wrapper otherwise."""
+    """The Koethe dual family: analytic for lp-type, the base family for a
+    numeric dual (the finite-dimensional bidual), numeric wrapper otherwise."""
+    if isinstance(family, NumericDualFamily):
+        return family.base
     analytic = _analytic_dual(family)
     if analytic is not None:
         return analytic
@@ -613,34 +627,39 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
 
 
 def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
-    """A unit vector alpha with sum(alpha * beta) equal to the dual norm.
+    """The support map of the unit ball: a unit vector alpha with
+    sum(alpha * beta) equal to the dual norm of beta (e_0 for beta = 0).
 
-    Closed form for lp-type families; ascent witness otherwise.  Returns a
-    signed vector, so the plain (not absolute) pairing attains the value.
+    Leading axes are batch axes.  Closed form for lp-type families, the
+    norm gradient of the base for a numeric dual (the support map of a dual
+    ball), ``_ascent_dual`` otherwise.  Signed, so the plain pairing attains.
     """
-    b = as_array(beta, (None,), "vector")
-    if isinstance(family, WeightedLpFamily):
-        s = family._scaling[:len(b)]
-        core = dual_witness(LpFamily(family.p), np.abs(b) / s)
-        return (core / s) * np.sign(b)
-    if isinstance(family, LpFamily):
-        mags = np.abs(b)
-        if mags.max() == 0.0:
-            e = np.zeros_like(b)
-            e[0] = 1.0 / family.unit_vector_norm(0, len(b))
-            return e
+    b = np.asarray(beta, dtype=float)
+    mags = np.abs(b)
+    if isinstance(family, NumericDualFamily):
+        alpha = family.base.norm_gradient(b)
+    elif isinstance(family, WeightedLpFamily):
+        s = family._scaling[:b.shape[-1]]
+        alpha = dual_witness(family._core, mags / s) / s * np.sign(b)
+    elif isinstance(family, LpFamily):
         if family.p == 1.0:
             alpha = np.zeros_like(b)
-            alpha[int(mags.argmax())] = 1.0
+            np.put_along_axis(alpha, mags.argmax(axis=-1)[..., None], 1.0, -1)
         elif family.p == math.inf:
             alpha = np.ones_like(b)
         else:
-            q = conjugate_exponent(family.p)
-            prof = (mags / mags.max()) ** (q - 1.0)
-            alpha = prof / LpFamily(family.p).norm(prof)
-        return alpha * np.sign(b)
-    res = kothe_dual_norm(family, b, method="numeric")
-    return res.witness
+            top = mags.max(axis=-1, keepdims=True)
+            prof = (mags / np.where(top > 0.0, top, 1.0)) ** (
+                conjugate_exponent(family.p) - 1.0)
+            nrm = family.norm_array(prof)[..., None]
+            alpha = prof / np.where(nrm > 0.0, nrm, 1.0)
+        alpha = alpha * np.sign(b)
+    else:
+        alpha = _ascent_dual(family, b)[1] * np.sign(b)
+    zero = ~b.any(axis=-1)
+    if np.any(zero):
+        alpha[zero, 0] = 1.0 / family.unit_vector_norm(0, b.shape[-1])
+    return alpha
 
 
 def holder_check(family: SeqNormFamily, alpha, beta, rtol: float = 1e-9):

@@ -23,7 +23,7 @@ from .mixed_norms import (join_bound_check, mixed_norm_equivalence_check,
                           strong_mixed_norm_batch, tail_profile)
 from .operators import (OperatorInstance, apply_n, operator_norm, transpose,
                         tuple_lifting_bound_check)
-from .optimize import AscentBudget, maximize_ratio
+from .optimize import AscentBudget
 from .reporting import check_record, inputs_digest
 from .seeding import spawn_rngs
 from .seq_lattice import (LpFamily, NumericDualFamily, OrliczFamily,
@@ -248,12 +248,8 @@ def kothe_suite(counts: dict | None = None, seed: int = 100) -> list[dict]:
         betas = rngs[6].standard_normal((6, n))
         for b in betas:
             ana = kothe_dual_norm(fam, b).value
-
-            def numer(z, b=b):
-                return np.abs(z @ b)
-
-            est = maximize_ratio(numer, fam.norm_array, n, seed=seed,
-                                 budget=AscentBudget(12, 200, 0.2)).value
+            est = functional_norm(lattice(n, fam), fam, [b], "strong",
+                                  AscentBudget(12, 200, 0.2), seed).value
             worst = max(worst, abs(est - ana) / max(ana, 1e-300))
     records.append(_worst_record("dual_equals_functional_norm", worst, 1e-6,
                                  "lp", seed, 18))

@@ -103,6 +103,58 @@ def test_matrix_csv_loading(tmp_path):
         2.0, rel=1e-6)
 
 
+def test_one_column_csv_is_a_column(tmp_path):
+    csv = tmp_path / "col.csv"
+    csv.write_text("1\n2\n")
+    report = run({"task": "krivine", "tuple": {"csv": str(csv)},
+                  "function": {"kind": "projection", "index": 1}})
+    assert report["results"]["result"] == [2.0]
+    # a 2x1 matrix maps R^1 into l1^2, with norm |1| + |2|
+    report = run({"task": "constant", "flavor": "convexity", "n_max": 1,
+                  "family": _L2, "budget": {"restarts": 4},
+                  "operator": {"matrix_csv": str(csv), "domain": _L2,
+                               "codomain": {"kind": "lp", "p": 1}}})
+    level = report["results"]["per_n"][0]
+    assert np.shape(level["witness"]) == (1, 1)
+    assert level["lower_bound"] == pytest.approx(3.0, rel=1e-12)
+
+
+def _lp(p):
+    return {"kind": "lp", "p": p}
+
+
+# operator.random draws that exited 3 (nonconverged) at the default budget
+_STOPPED_SHORT = {
+    "concavity_888738892": {
+        "task": "constant", "flavor": "concavity", "n_max": 3, "seed": 2,
+        "family": _lp(1.5), "operator": {
+            "random": {"rows": 3, "cols": 3, "seed": 888738892},
+            "domain": _lp("inf"), "codomain": _lp(2)}},
+    "convexity_888738892": {
+        "task": "constant", "flavor": "convexity", "n_max": 3, "seed": 2,
+        "family": _lp(1.5), "operator": {
+            "random": {"rows": 3, "cols": 3, "seed": 888738892},
+            "domain": _lp("inf"), "codomain": _lp(2)}},
+    "duality_809078539": {
+        "task": "duality", "n": 2, "seed": 4, "family": _lp("inf"),
+        "operator": {"random": {"rows": 3, "cols": 3, "seed": 809078539},
+                     "domain": _lp(1), "codomain": _lp(1)}},
+    "convexity_809078539": {
+        "task": "constant", "flavor": "convexity", "n_max": 3, "seed": 2,
+        "family": _lp("inf"), "operator": {
+            "random": {"rows": 3, "cols": 3, "seed": 809078539},
+            "domain": _lp(1), "codomain": _lp(1)}},
+}
+
+
+@pytest.mark.parametrize("config", _STOPPED_SHORT.values(),
+                         ids=_STOPPED_SHORT.keys())
+def test_random_lp_operators_converge_at_default_budget(config):
+    report = run(config)
+    assert report["exit_status"] == EXIT_OK
+    assert report["results"].get("rel_gap", 0.0) <= 1e-9
+
+
 def test_input_error_exits(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -213,6 +265,9 @@ _MALFORMED = {
     "max_length_1": {"task": "verify", "counts": {"max_length": 1}},
     "seed_1.5": {"task": "norm", "family": _L2, "vector": [3, 4],
                  "seed": 1.5},
+    # ran with the default 32 restarts and exit 0
+    "budget_restart": {"task": "constant", "family": _L2, "operator": _OP,
+                       "budget": {"restart": 1, "iterations": 20}},
 }
 
 

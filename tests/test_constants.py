@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from lattice_calc import (AscentBudget, InputError, LpFamily, OperatorInstance,
-                          ScaleGuardError, brute_force_constant,
+                          OrliczFamily, ScaleGuardError, brute_force_constant,
                           concavity_ratio, convexity_ratio, duality_check,
                           estimate_constant, functional_norm, kothe_dual,
-                          lattice, lattice_constants, pointwise_mixed_norm,
-                          strong_mixed_norm)
+                          lattice, lattice_constants, parse_gauge,
+                          pointwise_mixed_norm, strong_mixed_norm)
 
 LIGHT = AscentBudget(12, 200, 0.1)
 
@@ -213,3 +213,28 @@ def test_estimate_to_record_roundtrip():
     assert len(rec["per_n"]) == 2
     assert rec["per_n"][0]["n"] == 1
     assert rec["optimizer"]["restarts"] == LIGHT.restarts
+
+
+def test_orlicz_square_constants_equal_l2():
+    # the Luxemburg norm of u^2 is the l2 norm exactly
+    orl = OrliczFamily(parse_gauge("u^2"))
+    mat = np.random.default_rng(5).standard_normal((2, 2))
+    op = OperatorInstance(mat, lattice(2, LpFamily(2)),
+                          lattice(2, LpFamily(1.5)))
+    budget = AscentBudget(2, 4)
+    for flavor in ("convexity", "concavity"):
+        inst = op if flavor == "convexity" else OperatorInstance(
+            mat, op.codomain, op.domain)
+        got = estimate_constant(inst, orl, flavor, 2, budget, seed=1)
+        ref = estimate_constant(inst, LpFamily(2), flavor, 2, budget, seed=1)
+        for a, b in zip(got.per_n, ref.per_n):
+            assert a.value == pytest.approx(b.value, rel=1e-9)
+    got = duality_check(op, orl, 1, budget, seed=0)
+    ref = duality_check(op, LpFamily(2), 1, budget, seed=0)
+    assert got.convex_n == pytest.approx(ref.convex_n, rel=1e-9)
+    assert got.concave_dual_n == pytest.approx(ref.concave_dual_n, rel=1e-9)
+
+
+def test_kothe_bidual_of_numeric_dual_is_the_base():
+    orl = OrliczFamily(parse_gauge("u^2"))
+    assert kothe_dual(kothe_dual(orl)) is orl

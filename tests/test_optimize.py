@@ -1,9 +1,12 @@
-"""Lock-step restarts of maximize_ratio against a sequential reference.
+"""The power-iteration engine behind maximize_ratio.
 
-The reference below is the restart-at-a-time loop the engine replaced.  The
-engine advances every live restart in one stacked batch, and each restart
-must still follow exactly the path it follows alone, so every comparison
-here is bitwise.
+The reference below runs one restart at a time with the same stop rule.
+The engine advances every live restart in one stacked batch, and each
+restart must still follow exactly the path it follows alone, so those
+comparisons are bitwise.  The other tests pin the engine's contracts:
+values never fall, every value is attained by its witness, closed-form
+operator norms are reached, and the structured starts escape a known
+local maximum.
 """
 
 import math
@@ -11,101 +14,54 @@ import math
 import numpy as np
 import pytest
 
-from lattice_calc import (AscentBudget, LpFamily, OperatorInstance, lattice,
-                          maximize_ratio)
-from lattice_calc.constants import _ratio_callables, _structured_tuples
+import lattice_calc.operators as operators
+from lattice_calc import (AscentBudget, LpFamily, OperatorInstance,
+                          concavity_ratio, estimate_constant, lattice,
+                          maximize_ratio, operator_norm)
+from lattice_calc.constants import (_cyclic_tuple, _power_step,
+                                    _ratio_callables, _structured_tuples)
 from lattice_calc.seeding import spawn_rngs
 
-_FD_STEP = 1e-6
-_TRIAL_LADDER = 0.25 ** np.arange(4)
 
-
-def _normalize(z, denominator):
-    gz = float(denominator(z[None, :])[0])
-    if not gz > 0.0 or not np.isfinite(gz):
-        return None
-    return z / gz
+def _on_sphere(numerator, denominator, z):
+    g = float(denominator(z[None, :])[0])
+    if not g > 0.0 or not np.isfinite(g):
+        return z, -np.inf
+    z = z / g
+    return z, float(numerator(z[None, :])[0])
 
 
 def _sequential_maximize_ratio(numerator, denominator, dim, seed=0,
-                               budget=None, inits=(), nonneg=False):
+                               budget=None, inits=(), *, step):
     """One restart at a time, each in its own Python loop."""
     budget = budget or AscentBudget()
     rngs = spawn_rngs(seed, budget.restarts)
-    starts = []
-    for init in inits:
-        if len(starts) >= budget.restarts:
-            break
-        starts.append(np.asarray(init, dtype=float).ravel())
+    starts = [np.asarray(z, dtype=float).ravel() for z in inits]
+    starts = starts[:budget.restarts]
     while len(starts) < budget.restarts:
-        z = rngs[len(starts)].standard_normal(dim)
-        starts.append(np.abs(z) if nonneg else z)
-
-    eye = np.eye(dim)
-    best_val = -np.inf
-    best_z = None
-    finals = []
+        starts.append(rngs[len(starts)].standard_normal(dim))
+    finals, points = [], []
     for ridx, z0 in enumerate(starts):
-        z = np.maximum(z0, 0.0) if nonneg else z0.copy()
-        zn = _normalize(z, denominator)
-        if zn is None:
-            for _ in range(8):
-                z = rngs[ridx].standard_normal(dim)
-                if nonneg:
-                    z = np.abs(z)
-                zn = _normalize(z, denominator)
-                if zn is not None:
-                    break
-            if zn is None:
-                finals.append(-np.inf)
-                continue
-        z = zn
-        val = float(numerator(z[None, :])[0])
-        eta = budget.step0
-        stalls = 0
-        quiet = 0
-        ladder_count = len(_TRIAL_LADDER)
-        for _ in range(budget.iterations):
-            probe = np.concatenate([z + _FD_STEP * eye, z - _FD_STEP * eye])
-            ratios = numerator(probe) / denominator(probe)
-            grad = (ratios[:dim] - ratios[dim:]) / (2.0 * _FD_STEP)
-            gn = float(np.linalg.norm(grad))
-            if not np.isfinite(gn):
+        z, val = _on_sphere(numerator, denominator, z0)
+        for _ in range(8):
+            if val > -np.inf:
                 break
-            direction = grad / gn if gn > 0.0 else np.zeros(dim)
-            trials = np.concatenate([
-                z[None, :] + (eta * _TRIAL_LADDER)[:, None] * direction[None, :],
-                z + eta * eye,
-                z - eta * eye,
-            ])
-            if nonneg:
-                trials = np.maximum(trials, 0.0)
-            gt = denominator(trials)
-            ok = gt > 0.0
-            scaled = trials / np.where(ok, gt, 1.0)[:, None]
-            cand = np.where(ok, numerator(scaled) / denominator(scaled), -np.inf)
-            pick = int(np.argmax(cand))
-            if cand[pick] > val:
-                gain = cand[pick] - val
-                z = scaled[pick]
-                val = float(cand[pick])
-                if pick < ladder_count:
-                    eta = min(eta * _TRIAL_LADDER[pick] * 1.6, 16.0)
-                stalls = 0
-                quiet = quiet + 1 if gain <= 1e-12 * max(abs(val), 1e-300) else 0
-            else:
-                eta *= 0.3
-                stalls += 1
-                quiet += 1
-            if eta < 1e-13 or stalls > 8 or quiet > 40:
+            z, val = _on_sphere(numerator, denominator,
+                                rngs[ridx].standard_normal(dim))
+        for _ in range(budget.iterations if val > -np.inf else 0):
+            cand, cval = _on_sphere(numerator, denominator,
+                                    step(z[None, :])[0])
+            if not cval > val:
                 break
+            z, val = cand, cval
         finals.append(val)
-        if val > best_val:
-            best_val = val
-            best_z = z
-    agree = sum(1 for v in finals if v >= best_val * (1.0 - 1e-4) - 1e-300)
-    converged = agree >= min(2, len(finals))
-    return best_val, best_z, converged, finals
+        points.append(z)
+    best = 0
+    for ridx, v in enumerate(finals):
+        if v > finals[best]:
+            best = ridx
+    agree = sum(1 for v in finals if v >= finals[best] * (1.0 - 1e-4) - 1e-300)
+    return finals[best], points[best], agree >= min(2, len(finals)), finals
 
 
 def _bits(x):
@@ -129,20 +85,28 @@ def _operator(seed, p_in, p_out, shape=(3, 3)):
                             lattice(shape[0], LpFamily(p_out)))
 
 
-def _norm_callables(op):
-    def numer(z):
-        return op.codomain.norm_array(z @ op.matrix.T)
-    return numer, op.domain.norm_array
+def _norm_call(op, **kwargs):
+    """The arguments operator_norm passes to maximize_ratio."""
+    seen = []
+
+    def record(*args, **kw):
+        seen.append((args, kw))
+        return maximize_ratio(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "maximize_ratio", record)
+        operator_norm(op, **kwargs)
+    (args, kw), = seen
+    return args, kw
 
 
 @pytest.mark.parametrize("p_in,p_out,seed", [
     (1.5, 2.0, 0), (1.0, math.inf, 1), (3.0, 1.0, 2), (math.inf, 2.0, 3),
 ])
 def test_operator_norm_matches_sequential(p_in, p_out, seed):
-    op = _operator(40 + seed, p_in, p_out)
-    numer, denom = _norm_callables(op)
-    _assert_identical(numer, denom, 3, seed=seed,
-                      budget=AscentBudget(16, 300, 0.1), inits=list(np.eye(3)))
+    args, kw = _norm_call(_operator(40 + seed, p_in, p_out), seed=seed,
+                          budget=AscentBudget(16, 300, 0.1))
+    _assert_identical(*args, **kw)
 
 
 @pytest.mark.parametrize("flavor", ["convexity", "concavity"])
@@ -155,75 +119,97 @@ def test_ratio_callables_match_sequential(flavor, n, p_in, p_out, p_fam):
     numer, denom = _ratio_callables(op, LpFamily(p_fam), flavor, n)
     inits = _structured_tuples(n, 3, np.random.default_rng(n))
     _assert_identical(numer, denom, 3 * n, seed=11 * n,
-                      budget=AscentBudget(12, 200, 0.1), inits=inits)
+                      budget=AscentBudget(12, 200, 0.1), inits=inits,
+                      step=_power_step(op, LpFamily(p_fam), flavor, n))
 
 
 def test_wider_tuple_matches_sequential():
     op = _operator(9, 1.5, 2.0, shape=(4, 4))
     numer, denom = _ratio_callables(op, LpFamily(3.0), "convexity", 3)
     _assert_identical(numer, denom, 12, seed=5,
-                      budget=AscentBudget(6, 150, 0.1))
-
-
-def test_nonneg_matches_sequential():
-    op = _operator(3, 1.5, 3.0)
-    numer, denom = _norm_callables(op)
-    got = _assert_identical(numer, denom, 3, seed=4, nonneg=True,
-                            budget=AscentBudget(12, 200, 0.1),
-                            inits=[[1.0, -2.0, 0.5]])
-    assert (got.argmax >= 0.0).all()
+                      budget=AscentBudget(6, 150, 0.1),
+                      step=_power_step(op, LpFamily(3.0), "convexity", 3))
 
 
 def test_zero_init_resamples_like_sequential():
-    op = _operator(5, 2.0, 1.0)
-    numer, denom = _norm_callables(op)
-    for nonneg in (False, True):
-        got = _assert_identical(numer, denom, 3, seed=6, nonneg=nonneg,
-                                budget=AscentBudget(6, 100, 0.1),
-                                inits=[np.zeros(3), np.zeros(3), np.eye(3)[1]])
-        assert np.isfinite(got.restart_values).all()
+    args, kw = _norm_call(_operator(5, 2.0, 1.0), seed=6,
+                          budget=AscentBudget(6, 100, 0.1))
+    kw["inits"] = [np.zeros(3), np.zeros(3), np.eye(3)[1]]
+    got = _assert_identical(*args, **kw)
+    assert np.isfinite(got.restart_values).all()
 
 
 def test_infinite_numerator_stops_like_sequential():
-    op = _operator(6, 2.0, 2.0)
-    base, denom = _norm_callables(op)
+    (base, denom, dim), kw = _norm_call(_operator(6, 2.0, 2.0), seed=2,
+                                        budget=AscentBudget(10, 200, 0.1))
 
     def numer(z):
         return np.where(z[:, 0] > 0.5, np.inf, base(z))
 
-    got = _assert_identical(numer, denom, 3, seed=2,
-                            budget=AscentBudget(10, 200, 0.1),
-                            inits=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    kw["inits"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    got = _assert_identical(numer, denom, dim, **kw)
     assert got.restart_values[0] == np.inf
 
 
 def test_fewer_restarts_than_inits_matches_sequential():
-    op = _operator(8, 1.5, 2.0)
-    numer, denom = _norm_callables(op)
-    inits = list(np.random.default_rng(1).standard_normal((5, 3)))
-    got = _assert_identical(numer, denom, 3, seed=3,
-                            budget=AscentBudget(3, 200, 0.1), inits=inits)
+    args, kw = _norm_call(_operator(8, 1.5, 2.0), seed=3,
+                          budget=AscentBudget(3, 200, 0.1))
+    kw["inits"] = list(np.random.default_rng(1).standard_normal((5, 3)))
+    got = _assert_identical(*args, **kw)
     assert len(got.restart_values) == 3
 
 
 def test_restart_prefix_and_determinism():
     op = _operator(10, 1.5, 3.0)
     numer, denom = _ratio_callables(op, LpFamily(2.0), "convexity", 2)
+    step = _power_step(op, LpFamily(2.0), "convexity", 2)
     small = maximize_ratio(numer, denom, 6, seed=9,
-                           budget=AscentBudget(8, 200, 0.1))
+                           budget=AscentBudget(8, 200, 0.1), step=step)
     large = maximize_ratio(numer, denom, 6, seed=9,
-                           budget=AscentBudget(16, 200, 0.1))
+                           budget=AscentBudget(16, 200, 0.1), step=step)
     again = maximize_ratio(numer, denom, 6, seed=9,
-                           budget=AscentBudget(16, 200, 0.1))
+                           budget=AscentBudget(16, 200, 0.1), step=step)
     assert _bits(large.restart_values[:8]) == _bits(small.restart_values)
     assert _bits(again.restart_values) == _bits(large.restart_values)
     assert _bits(again.argmax) == _bits(large.argmax)
     assert again.value == large.value
 
 
-def test_stacked_dot_matches_linalg_norm():
-    for dim in range(1, 41):
-        grad = np.random.default_rng(dim).standard_normal((16, dim)) * 1e3
-        stacked = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
-        single = np.array([np.linalg.norm(g) for g in grad])
-        assert stacked.tobytes() == single.tobytes(), dim
+@pytest.mark.parametrize("flavor", ["convexity", "concavity"])
+def test_values_never_fall_and_witnesses_reproduce(flavor):
+    # a run of k iterations is the first k iterations of any longer run, so
+    # each restart's value after k iterations is its value along the path
+    op = _operator(11, 1.5, math.inf)
+    fam = LpFamily(3.0)
+    numer, denom = _ratio_callables(op, fam, flavor, 2)
+    step = _power_step(op, fam, flavor, 2)
+    path = [maximize_ratio(numer, denom, 6, seed=4, step=step,
+                           budget=AscentBudget(8, k, 0.1))
+            for k in range(1, 25)]
+    values = np.array([res.restart_values for res in path])
+    assert (np.diff(values, axis=0) >= 0.0).all()
+    for res in path:
+        ratio = (numer(res.argmax[None]) / denom(res.argmax[None]))[0]
+        assert ratio == pytest.approx(res.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_operator_norm_closed_form(p):
+    for seed in range(4):
+        op = _operator(60 + seed, p, p, shape=(3, 4))
+        mat = op.matrix
+        exact = {1.0: np.abs(mat).sum(axis=0).max(),
+                 2.0: np.linalg.norm(mat, 2),
+                 math.inf: np.abs(mat).sum(axis=1).max()}[p]
+        assert operator_norm(op, seed=seed).value == pytest.approx(
+            exact, rel=1e-12)
+
+
+def test_identity_linf_l1_concavity_reaches_cyclic_optimum():
+    # random starts stop at the local maximum 3; the cyclic start e_1..e_4
+    # attains the exact value 4
+    space = lattice(4, LpFamily(math.inf))
+    ident = OperatorInstance(np.eye(4), space, space)
+    est = estimate_constant(ident, LpFamily(1.0), "concavity", 4, seed=0)
+    assert est.per_n[-1].value == pytest.approx(4.0, rel=1e-12)
+    assert concavity_ratio(ident, LpFamily(1.0), _cyclic_tuple(4, 4)) == 4.0
