@@ -132,41 +132,118 @@ def _const_value(node, text):
     raise DescriptorError(f"exponent must be constant in {text!r}")
 
 
-def _evaluate(node, u):
+def _compile(node):
+    """The closure u -> value of an AST, built once.
+
+    A number that is one operand of + or * enters as a Python float, which
+    gives the same products and sums as a filled array.  Small integer
+    powers are repeated multiplications: float pow is the dominant cost
+    inside Luxemburg bisections.
+    """
     kind = node[0]
     if kind == "num":
-        return np.full_like(u, node[1])
+        value = node[1]
+        return lambda u: np.full_like(u, value)
     if kind == "var":
-        return u
-    if kind == "add":
-        return _evaluate(node[1], u) + _evaluate(node[2], u)
-    if kind == "mul":
-        return _evaluate(node[1], u) * _evaluate(node[2], u)
+        return lambda u: u
+    if kind in ("add", "mul"):
+        op = np.add if kind == "add" else np.multiply
+        left, right = node[1], node[2]
+        if left[0] == "num" and right[0] != "num":
+            c, g = left[1], _compile(right)
+            return lambda u: op(c, g(u))
+        if right[0] == "num" and left[0] != "num":
+            f, c = _compile(left), right[1]
+            return lambda u: op(f(u), c)
+        f, g = _compile(left), _compile(right)
+        return lambda u: op(f(u), g(u))
     if kind == "pow":
-        base = _evaluate(node[1], u)
-        exponent = node[2]
-        # small integer powers by repeated multiplication; float pow is the
-        # dominant cost inside Luxemburg bisections
-        if exponent == int(exponent) and 1 <= exponent <= 4:
-            out = base
-            for _ in range(int(exponent) - 1):
-                out = out * base
-            return out
-        return base ** exponent
+        f, p = _compile(node[1]), node[2]
+        if p == int(p) and 1 <= p <= 4:
+            def power(u):
+                base = f(u)
+                out = base
+                for _ in range(int(p) - 1):
+                    out = out * base
+                return out
+            return power
+        return lambda u: f(u) ** p
     if kind == "exp":
-        return np.exp(_evaluate(node[1], u))
+        f = _compile(node[1])
+        return lambda u: np.exp(f(u))
+    raise DescriptorError(f"unknown node {kind!r}")
+
+
+def _is_num(node, value) -> bool:
+    return node[0] == "num" and node[1] == value
+
+
+def _add(a, b):
+    if _is_num(a, 0.0):
+        return b
+    if _is_num(b, 0.0):
+        return a
+    if a[0] == b[0] == "num":
+        return ("num", a[1] + b[1])
+    return ("add", a, b)
+
+
+def _mul(a, b):
+    # constants go to the left and fold, so c1 * (c2 * f) is one product
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return ("num", 0.0)
+    if _is_num(a, 1.0):
+        return b
+    if _is_num(b, 1.0):
+        return a
+    if b[0] == "num":
+        a, b = b, a
+    if a[0] == "num" and b[0] == "num":
+        return ("num", a[1] * b[1])
+    if a[0] == "num" and b[0] == "mul" and b[1][0] == "num":
+        return _mul(("num", a[1] * b[1][1]), b[2])
+    return ("mul", a, b)
+
+
+def _derivative(node):
+    """The AST of d/du of an AST, by the sum, product, power and chain
+    rules, with constants folded."""
+    kind = node[0]
+    if kind == "num":
+        return ("num", 0.0)
+    if kind == "var":
+        return ("num", 1.0)
+    if kind == "add":
+        return _add(_derivative(node[1]), _derivative(node[2]))
+    if kind == "mul":
+        f, g = node[1], node[2]
+        return _add(_mul(_derivative(f), g), _mul(f, _derivative(g)))
+    if kind == "pow":
+        f, p = node[1], node[2]
+        lowered = f if p == 2.0 else ("pow", f, p - 1.0)
+        return _mul(_mul(("num", p), lowered), _derivative(f))
+    if kind == "exp":
+        return _mul(node, _derivative(node[1]))
     raise DescriptorError(f"unknown node {kind!r}")
 
 
 def parse_gauge(expression: str) -> OrliczFunction:
-    """Compile a gauge expression to a validated Orlicz function."""
+    """Compile a gauge expression to a validated Orlicz function that
+    carries its derivatives (phi', phi'')."""
     ast = _Parser(expression).parse()
+    phi = _compile(ast)
+    first = _derivative(ast)
+    dphi, ddphi = _compile(first), _compile(_derivative(first))
 
     def func(u):
-        arr = np.asarray(u, dtype=float)
-        return _evaluate(ast, arr)
+        return phi(np.asarray(u, dtype=float))
 
-    return OrliczFunction(func, expression=expression)
+    def derivatives(u):
+        arr = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return dphi(arr), ddphi(arr)
+
+    return OrliczFunction(func, expression=expression, derivatives=derivatives)
 
 
 def _parse_exponent(desc: dict) -> float:

@@ -2,9 +2,10 @@
 
 A family assigns a lattice (monotone) norm to R^n for every n, consistently
 under zero padding.  Built-ins: lp, weighted lp, Orlicz (Luxemburg norm) and
-custom oracles.  Koethe duals are closed-form for the lp-type families;
-otherwise they are certified lower bounds obtained by ascent over the
-positive part of the unit sphere.
+custom oracles.  Koethe duals are closed-form for the lp-type families,
+the Amemiya (Orlicz) norm of the complementary gauge for a Luxemburg norm
+with a compiled gauge, and otherwise certified lower bounds obtained by
+ascent over the positive part of the unit sphere.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .seeding import spawn_rngs
 # are batched; 60 halvings of a bracket of relative width <= n land far
 # below the 1e-12 relative target for any desk-scale n.
 LUXEMBURG_BISECT_STEPS = 60
+# Fixed Newton step counts of the Amemiya dual solve (outer: the level k;
+# inner: phi'(u) = k|b_i| at each outer step), for the same reason.
+AMEMIYA_OUTER_STEPS = 16
+AMEMIYA_INNER_STEPS = 16
 
 _GAUGE_GRID_MAX = 8.0
 _CONVEXITY_PAIRS = 1000
@@ -266,14 +271,25 @@ class OrliczFunction:
     Validated at construction on a sampled grid: value at zero, strict
     monotonicity, and midpoint convexity on seeded pairs.  ``unit_level``
     caches the solution of phi(u) = 1 used to bracket Luxemburg bisections.
+    ``derivatives`` maps u to (phi'(u), phi''(u)); it is kept only when
+    phi' is finite at 0 and on the probe grid and phi'' is positive there
+    (phi' then has an inverse), and is None for a gauge given as a bare
+    callable.
     """
 
     def __init__(self, func: Callable, expression: str | None = None,
-                 grid_max: float = _GAUGE_GRID_MAX):
+                 grid_max: float = _GAUGE_GRID_MAX,
+                 derivatives: Callable | None = None):
         self.func = func
         self.expression = expression
         self._validate(grid_max)
         self.unit_level = self._solve_unit_level()
+        if derivatives is not None:
+            grid = np.concatenate([[0.0], np.geomspace(1e-8, grid_max, 64)])
+            d1, d2 = derivatives(grid)
+            if not (np.all(np.isfinite(d1)) and np.all(d2[1:] > 0.0)):
+                derivatives = None
+        self.derivatives = derivatives
 
     def __call__(self, u):
         return self.func(np.asarray(u, dtype=float))
@@ -369,14 +385,18 @@ class OrliczFamily(SeqNormFamily):
         return np.where(active, 0.5 * (lo + hi) * scale, 0.0)
 
     def norm_gradient(self, values, norms=None):
-        # Implicit differentiation of sum_i phi(|t_i|/N) = 1.
+        # Implicit differentiation of sum_i phi(|t_i|/N) = 1; phi' is the
+        # compiled derivative, or a finite-difference slope without one.
         a = np.asarray(values, dtype=float)
         nrm = self.norm_array(a) if norms is None else np.asarray(norms, float)
         safe = np.where(nrm > 0.0, nrm, 1.0)[..., None]
         u = np.abs(a) / safe
-        h = 1e-7
-        lo = np.maximum(u - h, 0.0)
-        slope = (self.phi.func(u + h) - self.phi.func(lo)) / (u + h - lo)
+        if self.phi.derivatives is not None:
+            slope = self.phi.derivatives(u)[0]
+        else:
+            h = 1e-7
+            lo = np.maximum(u - h, 0.0)
+            slope = (self.phi.func(u + h) - self.phi.func(lo)) / (u + h - lo)
         denom = (u * slope).sum(axis=-1, keepdims=True)
         grad = np.sign(a) * slope / np.maximum(denom, 1e-300)
         return np.where(nrm[..., None] > 0.0, grad, 0.0)
@@ -526,12 +546,16 @@ def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
 
 
 class NumericDualFamily(SeqNormFamily):
-    """Koethe dual evaluated by ascent, wrapped as a norm family.
+    """Koethe dual evaluated numerically, wrapped as a norm family.
 
-    Start points are deterministic functions of the (scale-normalized)
-    input, so values do not depend on batching and the family is usable
-    inside sweeps.  Values are lower bounds tight to optimizer precision,
-    roughly 1e-9 relative on smooth base families.
+    An Orlicz base with a compiled gauge goes to the Amemiya solve
+    (``_amemiya_dual``); any other base to positive-sphere ascent from
+    start points that are deterministic functions of the scale-normalized
+    input.  Neither depends on batching, so the family is usable inside
+    sweeps.  Values are lower bounds attained by a witness: within about
+    1e-15 relative of the dual norm for the Amemiya solve, and tight to
+    optimizer precision, roughly 1e-9 relative on smooth bases, for ascent.
+    ``iterations`` and ``step0`` apply to the ascent only.
     """
 
     kind = "numeric_dual"
@@ -547,7 +571,7 @@ class NumericDualFamily(SeqNormFamily):
         return self.base.max_length()
 
     def norm_array(self, values):
-        return _ascent_dual(self.base, values, self.iterations, self.step0)[0]
+        return _dual_rows(self.base, values, self.iterations, self.step0)[0]
 
 
 def _ascent_dual(base: SeqNormFamily, values, iterations: int = 150,
@@ -575,6 +599,100 @@ def _ascent_dual(base: SeqNormFamily, values, iterations: int = 150,
     return out.reshape(a.shape[:-1]), witness
 
 
+def _inverse_derivative(derivatives: Callable, v: np.ndarray, u: np.ndarray,
+                        top: float) -> np.ndarray:
+    """u with phi'(u) = v, elementwise, from the start ``u``: Newton of
+    log phi' against log u inside the bracket [0, top] (phi'(top) >= v),
+    bisecting whenever a step leaves the bracket."""
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, top)
+    for _ in range(AMEMIYA_INNER_STEPS):
+        d1, d2 = derivatives(u)
+        short = d1 < v
+        lo = np.where(short, u, lo)
+        hi = np.where(short, hi, u)
+        step = u * np.exp(np.log(v / d1) * d1 / (u * d2))
+        u = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    return u
+
+
+def _amemiya_dual(base: OrliczFamily, values):
+    """Koethe dual norms over a Luxemburg base by the Amemiya formula
+    ||b|| = inf_k (1 + sum_i phi*(k |b_i|)) / k, leading axes being batches.
+
+    The infimum is attained where S(k) = sum_i phi(u_i) = 1, with
+    u_i = (phi')^{-1}(k |b_i|), and u_i = 0 where k |b_i| <= phi'(0)
+    (Young's equality).  Each row is scaled by its max, which puts k in
+    [1 / (support * u1), phi'(u1)] (u1 = phi^{-1}(1)); k comes from
+    Newton of log S against log k in that bracket and each u_i from
+    ``_inverse_derivative``, warm-started across outer steps.  Only
+    per-row operations run, with fixed step counts, so a row's result does
+    not depend on its batch.  The witness alpha = u / ||u|| is one
+    Luxemburg evaluation; the value <alpha, |b|> is a lower bound attained
+    by it, and the Amemiya objective at the last k is the upper side of the
+    bracket.  Returns (values, nonnegative witnesses, upper bounds); a zero
+    row has value 0 and witness 0.
+    """
+    a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
+    if a.shape[-1] == 0:
+        raise InputError("empty vector")
+    flat = a.reshape(-1, a.shape[-1])
+    scale = flat.max(axis=-1, keepdims=True)
+    b = flat / np.where(scale != 0.0, scale, 1.0)  # a NaN row stays NaN
+    phi = base.phi
+    u1 = phi.unit_level
+    floor = phi.derivatives(np.zeros(()))[0]
+    support = np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
+    t_hi = np.full_like(scale, np.log(phi.derivatives(np.asarray(u1))[0]))
+    t_lo = np.minimum(t_hi, -np.log(support * u1))
+    t = t_hi
+    u = np.full_like(b, u1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        for _ in range(AMEMIYA_OUTER_STEPS):
+            k = np.exp(t)
+            v = k * b
+            live = v > floor
+            u = _inverse_derivative(phi.derivatives, v,
+                                    np.where(u > 0.0, u, u1), u1)
+            u = np.where(live, u, 0.0)
+            phi_u = phi.func(u)
+            level = phi_u.sum(axis=-1, keepdims=True)
+            slope = np.where(live, v * v / phi.derivatives(u)[1],
+                             0.0).sum(axis=-1, keepdims=True)
+            over = level >= 1.0
+            t_lo = np.where(over, t_lo, t)
+            t_hi = np.where(over, t, t_hi)
+            step = t - level * np.log(level) / slope
+            t = np.where((step >= t_lo) & (step <= t_hi), step,
+                         0.5 * (t_lo + t_hi))
+        upper = (1.0 + (v * u - phi_u).sum(axis=-1)) / k[:, 0]
+    nrm = base.norm_array(u)
+    alpha = u / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    value = scale[:, 0] * (alpha * b).sum(axis=-1)
+    witness = np.zeros(np.shape(values))
+    witness[..., :a.shape[-1]] = alpha.reshape(a.shape)
+    rows = a.shape[:-1]
+    return (value.reshape(rows), witness,
+            (scale[:, 0] * upper).reshape(rows))
+
+
+def _amemiya_ready(family: SeqNormFamily) -> bool:
+    return isinstance(family, OrliczFamily) and \
+        family.phi.derivatives is not None
+
+
+def _dual_rows(base: SeqNormFamily, values, iterations: int = 150,
+               step0: float = 0.25):
+    """Koethe dual norms of ``values`` over ``base`` and their nonnegative
+    unit witnesses: the Amemiya solve for an Orlicz base with a compiled
+    gauge, ``_ascent_dual`` otherwise (the only one that uses
+    ``iterations`` and ``step0``)."""
+    if _amemiya_ready(base):
+        return _amemiya_dual(base, values)[:2]
+    return _ascent_dual(base, values, iterations, step0)
+
+
 def kothe_dual(family: SeqNormFamily, iterations: int = 150,
                step0: float = 0.25) -> SeqNormFamily:
     """The Koethe dual family: analytic for lp-type, the base family for a
@@ -592,9 +710,13 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
                     seed: int = 0, step0: float = 0.25) -> DualNormResult:
     """sup { sum |alpha_i beta_i| : ||alpha|| <= 1 } on the support of beta.
 
-    ``method`` is one of "auto", "analytic", "numeric".  The numeric branch
-    runs seeded restarts on top of the deterministic start set and reports a
-    convergence flag (at least two starts reaching the best value).
+    ``method`` is one of "auto", "analytic", "numeric".  For an Orlicz
+    family with a compiled gauge the numeric branch is the Amemiya solve
+    (``_amemiya_dual``): it ignores ``restarts``, ``iterations``, ``seed``
+    and ``step0`` and converges when its bracket is at most 1e-9 wide,
+    relative.  Otherwise it runs seeded restarts on top of the
+    deterministic start set and converges when at least two starts reach
+    the best value.
     """
     b = as_array(beta, (None,), "vector")
     family.check_length(len(b))
@@ -610,6 +732,10 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
         raise InputError(f"unknown dual method {method!r}")
     if restarts < 1 or iterations < 1:
         raise InputError("numeric dual needs a positive budget")
+    if _amemiya_ready(family):
+        value, witness, upper = _amemiya_dual(family, b)
+        return DualNormResult(float(value), witness * np.sign(b),
+                              bool(upper - value <= 1e-9 * value), "numeric")
     mags = np.abs(b)
     scale = mags.max()
     if scale == 0.0:
@@ -632,7 +758,7 @@ def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
 
     Leading axes are batch axes.  Closed form for lp-type families, the
     norm gradient of the base for a numeric dual (the support map of a dual
-    ball), ``_ascent_dual`` otherwise.  Signed, so the plain pairing attains.
+    ball), ``_dual_rows`` otherwise.  Signed, so the plain pairing attains.
     """
     b = np.asarray(beta, dtype=float)
     mags = np.abs(b)
@@ -655,7 +781,7 @@ def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
             alpha = prof / np.where(nrm > 0.0, nrm, 1.0)
         alpha = alpha * np.sign(b)
     else:
-        alpha = _ascent_dual(family, b)[1] * np.sign(b)
+        alpha = _dual_rows(family, b)[1] * np.sign(b)
     zero = ~b.any(axis=-1)
     if np.any(zero):
         alpha[zero, 0] = 1.0 / family.unit_vector_norm(0, b.shape[-1])

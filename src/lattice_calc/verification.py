@@ -68,12 +68,13 @@ def dual_families() -> list[SeqNormFamily]:
     """Koethe duals probed by the same axioms as the primal families.
 
     The lp duals are lp families again and already covered; what needs
-    probing is the conjugate-weight arithmetic and the numeric wrapper.
+    probing is the conjugate-weight arithmetic and the numeric wrapper
+    (the Amemiya solve, for an Orlicz base).
     """
     return [
         kothe_dual(WeightedLpFamily(1, [2.0, 1.0, 1.5, 3.0, 0.5, 1.0,
                                         2.0, 1.25])),
-        kothe_dual(OrliczFamily(parse_gauge("u^2")), iterations=110),
+        kothe_dual(OrliczFamily(parse_gauge("u^2"))),
     ]
 
 
@@ -193,7 +194,7 @@ def kothe_suite(counts: dict | None = None, seed: int = 100) -> list[dict]:
     vecs = rngs[2].standard_normal((16, 4))
     worst = float((np.abs(dual_orl.norm_array(vecs) - l2.norm_array(vecs))
                    / l2.norm_array(vecs)).max())
-    records.append(_worst_record("dual_orlicz_sq_is_l2", worst, 1e-6,
+    records.append(_worst_record("dual_orlicz_sq_is_l2", worst, 1e-9,
                                  orl.label, seed, 16))
 
     # pairing bound on every instance, with conjugate-witness equality for lp

@@ -221,7 +221,7 @@ def test_orlicz_square_constants_equal_l2():
     mat = np.random.default_rng(5).standard_normal((2, 2))
     op = OperatorInstance(mat, lattice(2, LpFamily(2)),
                           lattice(2, LpFamily(1.5)))
-    budget = AscentBudget(2, 4)
+    budget = AscentBudget(4, 30)
     for flavor in ("convexity", "concavity"):
         inst = op if flavor == "convexity" else OperatorInstance(
             mat, op.codomain, op.domain)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lattice_calc import DescriptorError, family_from_descriptor, parse_gauge
+from lattice_calc.descriptors import _Parser
 
 
 def test_lp_descriptor_roundtrip():
@@ -64,3 +65,74 @@ def test_family_descriptor_rejections():
                 {"kind": "lp", "p": "two"}):
         with pytest.raises(DescriptorError):
             family_from_descriptor(bad)
+
+
+def _tree_walk(node, u):
+    """Reference evaluation of a gauge AST by walking the tree at each call."""
+    kind = node[0]
+    if kind == "num":
+        return np.full_like(u, node[1])
+    if kind == "var":
+        return u
+    if kind == "add":
+        return _tree_walk(node[1], u) + _tree_walk(node[2], u)
+    if kind == "mul":
+        return _tree_walk(node[1], u) * _tree_walk(node[2], u)
+    if kind == "pow":
+        base = _tree_walk(node[1], u)
+        exponent = node[2]
+        if exponent == int(exponent) and 1 <= exponent <= 4:
+            out = base
+            for _ in range(int(exponent) - 1):
+                out = out * base
+            return out
+        return base ** exponent
+    if kind == "exp":
+        return np.exp(_tree_walk(node[1], u))
+    raise AssertionError(kind)
+
+
+def test_compiled_gauge_is_bitwise_the_tree_walk():
+    # every node kind: numbers (as one operand and as both), the variable,
+    # sums, products, integer and fractional powers, nested exponentials
+    exprs = ("u", "u^2", "u^3", "u^4", "u^1.5", "u^2.5 + u", "0.5*u^1.5",
+             "u*2", "(2*3)*u", "u*(1 + 2)", "2*u + u^3 + 0.25*u^4",
+             "(u^2)*(1 + u)", "u*exp(u)", "exp(u)*u^2", "u^2*exp(u^2 + u)",
+             "u*exp(0.1*exp(u))", "(u + u^2)^2", "(u^2 + u)^1.25")
+    u = np.concatenate([[0.0], np.geomspace(1e-9, 6.0, 97)])
+    for text in exprs:
+        ast = _Parser(text).parse()
+        compiled = parse_gauge(text).func
+        assert np.array_equal(compiled(u), _tree_walk(ast, u)), text
+        assert compiled(u[5]) == _tree_walk(ast, np.asarray(u[5])), text
+
+
+def test_gauge_derivatives_match_hand_formulas():
+    u = np.geomspace(1e-6, 4.0, 50)
+    e, e2 = np.exp(u), np.exp(u * u)
+    cases = {
+        "u^2": (2.0 * u, np.full_like(u, 2.0)),
+        "u^3": (3.0 * u * u, 6.0 * u),
+        "u^1.5": (1.5 * u ** 0.5, 0.75 * u ** -0.5),
+        "u^2+u^4": (2.0 * u + 4.0 * u ** 3, 2.0 + 12.0 * u * u),
+        "u*exp(u)": ((1.0 + u) * e, (2.0 + u) * e),
+        "3*u + u^2": (3.0 + 2.0 * u, np.full_like(u, 2.0)),
+        "exp(u^2)*u^2": (2.0 * u * (1.0 + u * u) * e2,
+                         (2.0 + 10.0 * u * u + 4.0 * u ** 4) * e2),
+        "(u+u^2)^2": (2.0 * (u + u * u) * (1.0 + 2.0 * u),
+                      2.0 * (1.0 + 2.0 * u) ** 2 + 4.0 * (u + u * u)),
+    }
+    for text, (d1, d2) in cases.items():
+        got1, got2 = parse_gauge(text).derivatives(u)
+        assert np.allclose(got1, d1, rtol=1e-13, atol=0.0), text
+        assert np.allclose(got2, d2, rtol=1e-13, atol=0.0), text
+    # at 0: phi' of u^1.5 is 0 and phi'' is +inf, without warnings
+    d1, d2 = parse_gauge("u^1.5").derivatives(0.0)
+    assert d1 == 0.0 and d2 == np.inf
+
+
+def test_gauges_without_usable_derivatives():
+    # phi'' vanishes (no inverse of phi'), or phi' is 0 * inf at 0
+    assert parse_gauge("u").derivatives is None
+    assert parse_gauge("(u^2)^0.75").derivatives is None
+    assert parse_gauge("u^2").derivatives is not None

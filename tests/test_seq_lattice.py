@@ -141,7 +141,7 @@ def test_dual_family_roundtrips():
     orl = OrliczFamily(parse_gauge("u^2"))
     dual = kothe_dual(orl)
     assert np.allclose(dual.norm_array(probes), l2.norm_array(probes),
-                       rtol=1e-6)
+                       rtol=1e-9)
 
 
 def test_dual_witness_attains():
