@@ -126,7 +126,7 @@ def _task_norm(config: dict, seed: int) -> tuple[dict, list, bool]:
 
 def _task_dualnorm(config: dict, seed: int) -> tuple[dict, list, bool]:
     family = _family(config)
-    vector = config_field(config, "vector", list)
+    vector = as_array(config_field(config, "vector", list), (None,), "vector")
     budget = _budget(config, AscentBudget(32, 300, 0.25))
     res = kothe_dual_norm(family, vector,
                           config_field(config, "method", str, "auto"),

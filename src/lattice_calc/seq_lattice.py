@@ -51,7 +51,8 @@ def strip_trailing_zeros(values: np.ndarray) -> np.ndarray:
 def as_array(x, shape: tuple, what: str = "input") -> np.ndarray:
     """``x`` as a nonempty, finite float array of the given shape.
 
-    ``shape`` has one entry per axis: a length, or None for any length.
+    ``shape`` has one entry per axis: a length, or None for any length; a
+    leading ``...`` stands for any number of batch axes of any length.
     Entries that are not real numbers, empty or non-finite input raise
     InputError; a length other than a fixed one, DimensionMismatchError.
     """
@@ -59,6 +60,8 @@ def as_array(x, shape: tuple, what: str = "input") -> np.ndarray:
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} must hold real numbers: {exc}") from None
+    if shape[:1] == (...,):
+        shape = (None,) * (a.ndim - len(shape) + 1) + shape[1:]
     if a.ndim != len(shape) or a.size == 0:
         raise InputError(f"expected a nonempty {len(shape)}-d {what}, "
                          f"got shape {a.shape}")
@@ -460,11 +463,11 @@ class DualNormResult:
 
     ``value`` is exact for the analytic branch and a certified lower bound
     for the numeric one; ``converged`` reports whether independent restarts
-    agreed.
+    agreed.  Both are arrays of the batch shape for a batch of vectors.
     """
-    value: float
+    value: float | np.ndarray
     witness: np.ndarray
-    converged: bool
+    converged: bool | np.ndarray
     method: str
 
 
@@ -574,28 +577,43 @@ class NumericDualFamily(SeqNormFamily):
         return _dual_rows(self.base, values, self.iterations, self.step0)[0]
 
 
+def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
+                 step0: float, restarts: int = 0, seed: int = 0):
+    """Koethe dual norms of the nonnegative rows ``mags`` (k, n) over
+    ``base`` by positive-sphere ascent of each max-scaled row from
+    ``_structured_dual_inits``, plus seeded starts, shared by all rows, up
+    to ``restarts`` starts in all.  Returns the values, unit witnesses and
+    per row the number of starts within 1e-6 of the best (zero rows: 0)."""
+    k, n = mags.shape
+    scale = mags.max(axis=-1)
+    active = scale != 0.0  # a row with a NaN stays NaN
+    out, agree, witness = np.zeros(k), np.zeros(k, dtype=int), np.zeros((k, n))
+    if np.any(active):
+        normed = mags[active] / scale[active, None]
+        iterated, static = _structured_dual_inits(normed)
+        extra = max(0, restarts - len(iterated) - len(static))
+        for rng in spawn_rngs(seed, extra):
+            start = np.abs(rng.standard_normal((1, n)))
+            iterated.append(np.repeat(start, len(normed), axis=0))
+        vals, witness[active], finals = _linear_ascent(
+            base, normed, iterated, iterations, step0, static=static)
+        out[active] = vals * scale[active]
+        agree[active] = (finals * scale[active]
+                         >= out[active] * (1.0 - 1e-6)).sum(axis=0)
+    return out, witness, agree
+
+
 def _ascent_dual(base: SeqNormFamily, values, iterations: int = 150,
                  step0: float = 0.25):
-    """Koethe dual norms of ``values`` (leading axes are batches) over
-    ``base`` and their nonnegative unit witnesses (zero for a zero row), by
-    positive-sphere ascent from ``_structured_dual_inits`` of each row."""
+    """Koethe dual norms over ``base`` of ``values`` (leading axes are
+    batches) and unit witnesses, by ``_ascent_rows`` without trailing zeros."""
     a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
     if a.shape[-1] == 0:
         raise InputError("empty vector")
-    flat = a.reshape(-1, a.shape[-1])
-    scale = flat.max(axis=-1)
-    active = scale > 0.0
-    out = np.zeros(flat.shape[0])
+    out, found, _ = _ascent_rows(base, a.reshape(-1, a.shape[-1]),
+                                 iterations, step0)
     witness = np.zeros(np.shape(values))
-    if np.any(active):
-        normed = flat[active] / scale[active, None]
-        iterated, static = _structured_dual_inits(normed)
-        vals, best, _ = _linear_ascent(base, normed, iterated, iterations,
-                                       step0, static=static)
-        out[active] = vals * scale[active]
-        found = np.zeros_like(flat)
-        found[active] = best
-        witness[..., :a.shape[-1]] = found.reshape(a.shape)
+    witness[..., :a.shape[-1]] = found.reshape(a.shape)
     return out.reshape(a.shape[:-1]), witness
 
 
@@ -636,6 +654,9 @@ def _amemiya_dual(base: OrliczFamily, values):
     a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
     if a.shape[-1] == 0:
         raise InputError("empty vector")
+    if not a.any():  # all zero: what the solve below returns, without it
+        return (np.zeros(a.shape[:-1]), np.zeros(np.shape(values)),
+                np.zeros(a.shape[:-1]))
     flat = a.reshape(-1, a.shape[-1])
     scale = flat.max(axis=-1, keepdims=True)
     b = flat / np.where(scale != 0.0, scale, 1.0)  # a NaN row stays NaN
@@ -710,46 +731,43 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
                     seed: int = 0, step0: float = 0.25) -> DualNormResult:
     """sup { sum |alpha_i beta_i| : ||alpha|| <= 1 } on the support of beta.
 
-    ``method`` is one of "auto", "analytic", "numeric".  For an Orlicz
-    family with a compiled gauge the numeric branch is the Amemiya solve
-    (``_amemiya_dual``): it ignores ``restarts``, ``iterations``, ``seed``
-    and ``step0`` and converges when its bracket is at most 1e-9 wide,
-    relative.  Otherwise it runs seeded restarts on top of the
-    deterministic start set and converges when at least two starts reach
-    the best value.
+    Leading axes of ``beta`` are batch axes; a row gets what it gets alone
+    (bit for bit, unless it has 8 or more entries and a zero tail that the
+    batch lacks).  ``method`` is "auto", "analytic" or "numeric".  For an
+    Orlicz family with a compiled gauge the numeric branch is the Amemiya
+    solve (``_amemiya_dual``), which ignores the budget and ``seed`` and
+    converges when its bracket is at most 1e-9 wide, relative; otherwise
+    ``_ascent_rows``, converged when two or more starts reach the best.
     """
-    b = as_array(beta, (None,), "vector")
-    family.check_length(len(b))
+    b = as_array(beta, (..., None), "vector")
+    family.check_length(b.shape[-1])
+    flat = b.reshape(-1, b.shape[-1])  # a vector is a batch of one
     analytic = _analytic_dual(family)
     if method == "auto":
         method = "analytic" if analytic is not None else "numeric"
     if method == "analytic":
         if analytic is None:
             raise InputError(f"no analytic Koethe dual known for {family.label}")
-        return DualNormResult(analytic.norm(b), dual_witness(family, b),
-                              True, "analytic")
-    if method != "numeric":
+        value, witness = analytic.norm_array(flat), dual_witness(family, flat)
+        converged = np.ones(len(flat), dtype=bool)
+    elif method != "numeric":
         raise InputError(f"unknown dual method {method!r}")
-    if restarts < 1 or iterations < 1:
+    elif restarts < 1 or iterations < 1:
         raise InputError("numeric dual needs a positive budget")
-    if _amemiya_ready(family):
-        value, witness, upper = _amemiya_dual(family, b)
-        return DualNormResult(float(value), witness * np.sign(b),
-                              bool(upper - value <= 1e-9 * value), "numeric")
-    mags = np.abs(b)
-    scale = mags.max()
-    if scale == 0.0:
-        return DualNormResult(0.0, np.zeros_like(b), True, "numeric")
-    normed = (mags / scale)[None, :]
-    iterated, static = _structured_dual_inits(normed)
-    extra = max(0, restarts - len(iterated) - len(static))
-    for rng in spawn_rngs(seed, extra):
-        iterated.append(np.abs(rng.standard_normal((1, len(b)))))
-    vals, witness, finals = _linear_ascent(family, normed, iterated,
-                                           iterations, step0, static=static)
-    best = float(vals[0] * scale)
-    agree = int((finals[:, 0] * scale >= best * (1.0 - 1e-6)).sum())
-    return DualNormResult(best, witness[0] * np.sign(b), agree >= 2, "numeric")
+    elif _amemiya_ready(family):
+        value, witness, upper = _amemiya_dual(family, flat)
+        witness = witness * np.sign(flat)
+        converged = upper - value <= 1e-9 * value
+    else:
+        value, witness, agree = _ascent_rows(family, np.abs(flat), iterations,
+                                             step0, restarts, seed)
+        witness = witness * np.sign(flat)
+        converged = (agree >= 2) | ~flat.any(axis=-1)
+    rows = b.shape[:-1]
+    value, converged = value.reshape(rows), converged.reshape(rows)
+    if b.ndim == 1:
+        value, converged = float(value), bool(converged)
+    return DualNormResult(value, witness.reshape(b.shape), converged, method)
 
 
 def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:

@@ -146,6 +146,23 @@ def test_zero_and_nan_rows():
     assert res.value == 0.0 and res.converged
 
 
+def test_all_zero_batch_skips_the_solve(monkeypatch):
+    fam = OrliczFamily(parse_gauge("u*exp(u)"))
+    mixed = _amemiya_dual(fam, np.array([[0.0, 0.0], [1.0, 2.0]]))
+    assert mixed[0][0] == 0.0 and mixed[2][0] == 0.0
+    assert not mixed[1][0].any()
+
+    def refuse(u):
+        raise AssertionError("the Newton solve ran on an all-zero batch")
+
+    monkeypatch.setattr(fam.phi, "derivatives", refuse)
+    for shape in [(3,), (4, 1), (2, 4, 3)]:
+        value, witness, upper = _amemiya_dual(fam, np.zeros(shape))
+        assert value.shape == upper.shape == shape[:-1]
+        assert witness.shape == shape
+        assert not (value.any() or witness.any() or upper.any())
+
+
 def test_bare_callable_gauge_keeps_the_ascent():
     fam = OrliczFamily(OrliczFunction(lambda u: u * np.exp(u)))
     assert fam.phi.derivatives is None

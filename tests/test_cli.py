@@ -262,6 +262,8 @@ _MALFORMED = {
     "function_str": {"task": "krivine", "tuple": [[1, 2]],
                      "function": "norm"},
     "count_x": {"task": "verify", "counts": {"family_probes": "x"}},
+    # a batch is the library's, not the task's: one vector per report
+    "vector_2d": {"task": "dualnorm", "family": _L2, "vector": [[1, 2]]},
     "max_length_1": {"task": "verify", "counts": {"max_length": 1}},
     "seed_1.5": {"task": "norm", "family": _L2, "vector": [3, 4],
                  "seed": 1.5},

@@ -10,6 +10,8 @@ from lattice_calc import (AscentBudget, DimensionMismatchError, LpFamily,
                           OperatorInstance, apply, apply_n, lattice,
                           operator_norm, transpose,
                           tuple_lifting_bound_check)
+from lattice_calc import verification
+from lattice_calc.cli import EXIT_OK, run
 
 
 def _op(matrix, p_in=2, p_out=2):
@@ -133,3 +135,39 @@ def test_shape_validation():
         apply(op, np.ones(2))
     with pytest.raises(DimensionMismatchError):
         apply_n(op, np.ones((2, 2)))
+
+
+# ``verify`` at an eighth of the default counts (the counts that do not scale
+# kept) and seed 1561142139: one transpose pairing there cancels to 4.1e-5
+# against terms of size 1.6, and dividing by the pairing itself turned
+# rounding into 4.6e-12
+_EIGHTH = {k: v if k in ("opnorm_pairs", "constant_levels", "max_length")
+           else max(1, round(v / 8))
+           for k, v in verification.DEFAULT_COUNTS.items()}
+_CANCELLING_SEED = 1561142139
+
+
+def _pairing_record(records):
+    return next(r for r in records if r["op"] == "operator_transpose_pairing")
+
+
+def test_transpose_pairing_survives_cancellation():
+    report = run({"task": "verify", "seed": _CANCELLING_SEED,
+                  "counts": _EIGHTH})
+    assert report["exit_status"] == EXIT_OK
+    assert _pairing_record(report["checks"])["lhs"] <= 1e-15
+
+
+def test_transpose_pairing_catches_a_perturbed_transpose(monkeypatch):
+    def perturbed(op):
+        t = transpose(op)
+        mat = t.matrix.copy()
+        mat[0, 0] *= 1.0 + 1e-9
+        return OperatorInstance(mat, t.domain, t.codomain, t.label)
+
+    monkeypatch.setattr(verification, "transpose", perturbed)
+    counts = dict(_EIGHTH, opnorm_pairs=1, lifting_instances=1)
+    # the operator suite's seed inside ``verify`` at _CANCELLING_SEED
+    rec = _pairing_record(verification.operator_suite(
+        counts, _CANCELLING_SEED + 404))
+    assert not rec["holds"] and rec["lhs"] > 1e-10

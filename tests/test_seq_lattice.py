@@ -270,9 +270,72 @@ def test_norm_array_keeps_nan_rows():
         assert vals[1] == 0.0
 
 
+@pytest.mark.parametrize("family", [
+    CustomFamily(lambda v: float(np.abs(v).max() + 0.5 * np.abs(v).sum())),
+    OrliczFamily(OrliczFunction(lambda u: u * u)),
+], ids=["custom", "bare_callable_gauge"])
+def test_ascent_dual_keeps_nan_rows(family):
+    # the positive-sphere ascent path gave 0.0 for a NaN row
+    dual = kothe_dual(family)
+    batch = np.array([[np.nan, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    vals = dual.norm_array(batch)
+    assert np.isnan(vals[0])
+    assert np.array_equal(vals[1:], dual.norm_array(batch[1:]))
+    assert vals[1] > 0.0 and vals[2] == 0.0
+
+
 def test_scalar_entry_points_reject_nan():
     E = lattice(2, LpFamily(2))
     with pytest.raises(InputError):
         strong_mixed_norm(E, LpFamily(2), [[np.nan, 1.0]])
     with pytest.raises(InputError):
         kothe_dual_norm(LpFamily(2), ["a", 1.0])
+
+
+# ---------------------------------------------------------------------------
+# batched Koethe dual norms: each row gets what a call on it alone gets
+
+_BATCH = np.random.default_rng(31).standard_normal((2, 5, 4)) * 2.0
+_BATCH[0, 2] = 0.0  # a zero row
+_NUMERIC = {"method": "numeric", "restarts": 12, "iterations": 40, "seed": 3}
+
+
+@pytest.mark.parametrize("family, kwargs", [
+    (LpFamily(1), {"method": "analytic"}),
+    (LpFamily(1.5), {"method": "analytic"}),
+    (LpFamily(2), {"method": "analytic"}),
+    (LpFamily(3), {"method": "analytic"}),
+    (LpFamily(math.inf), {"method": "analytic"}),
+    (WeightedLpFamily(1.5, [2.0, 0.5, 1.0, 3.0]), {"method": "analytic"}),
+    (LpFamily(1.5), _NUMERIC),
+    (LpFamily(3), _NUMERIC),
+    (OrliczFamily(parse_gauge("u^2")), _NUMERIC),
+    (OrliczFamily(parse_gauge("u*exp(u)")), _NUMERIC),
+    (CustomFamily(lambda v: float(np.abs(v).max() + 0.5 * np.abs(v).sum())),
+     _NUMERIC),
+], ids=["l1", "l1.5", "l2", "l3", "linf", "wl1.5", "l1.5_ascent",
+        "l3_ascent", "orlicz_u2", "orlicz_uexp", "custom"])
+def test_kothe_dual_norm_batch_equals_rows(family, kwargs):
+    for batch in (_BATCH[0], _BATCH):
+        res = kothe_dual_norm(family, batch, **kwargs)
+        flat = batch.reshape(-1, batch.shape[-1])
+        rows = [kothe_dual_norm(family, b, **kwargs) for b in flat]
+        assert all(type(r.value) is float and type(r.converged) is bool
+                   and r.witness.shape == (4,) for r in rows)
+        assert res.value.shape == res.converged.shape == batch.shape[:-1]
+        assert res.witness.shape == batch.shape
+        assert np.array_equal(res.value.ravel(), [r.value for r in rows])
+        assert np.array_equal(res.witness.reshape(flat.shape),
+                              [r.witness for r in rows])
+        assert np.array_equal(res.converged.ravel(),
+                              [r.converged for r in rows])
+    zero = kothe_dual_norm(family, _BATCH[0, 2], **kwargs)
+    assert zero.value == 0.0 and zero.converged
+
+
+def test_numeric_batch_agrees_with_closed_forms():
+    fam = LpFamily(1.5)
+    res = kothe_dual_norm(fam, _BATCH, **_NUMERIC)
+    ref = kothe_dual_norm(fam, _BATCH, method="analytic")
+    assert np.allclose(res.value, ref.value, rtol=1e-6, atol=0.0)
+    assert res.converged.all()
