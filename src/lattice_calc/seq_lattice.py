@@ -23,8 +23,10 @@ from .seeding import spawn_rngs
 # are batched; 60 halvings of a bracket of relative width <= n land far
 # below the 1e-12 relative target for any desk-scale n.
 LUXEMBURG_BISECT_STEPS = 60
-# Fixed Newton step counts of the Amemiya dual solve (outer: the level k;
-# inner: phi'(u) = k|b_i| at each outer step), for the same reason.
+# Newton step ceilings of the Amemiya dual solve (outer: the level k; inner:
+# phi'(u) = k|b_i| at each outer step): at most 16 x 16 steps, ending early
+# only once the state repeats, which gives the fixed-count result bit for
+# bit; so, as above, a result does not depend on how calls are batched.
 AMEMIYA_OUTER_STEPS = 16
 AMEMIYA_INNER_STEPS = 16
 
@@ -331,6 +333,8 @@ class OrliczFunction:
         lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # phi(lo) < 1 <= phi(hi), so nothing moves again
             if float(self.func(np.asarray(mid))) >= 1.0:
                 hi = mid
             else:
@@ -537,7 +541,10 @@ def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
         adopt = ok & (cv > v_it) & (dn > 1e-15)
         a_it = np.where(adopt[:, None], cand, a_it)
         v_it = np.where(adopt, cv, v_it)
-        eta = np.clip(np.where(adopt, eta * 1.4, eta * 0.4), 1e-14, 4.0)
+        eta_next = np.clip(np.where(adopt, eta * 1.4, eta * 0.4), 1e-14, 4.0)
+        if not adopt.any() and np.array_equal(eta_next, eta):
+            break  # every eta sits at its floor: a fixed point
+        eta = eta_next
     alpha = np.concatenate([a_it, alpha[live:]])
     val = np.concatenate([v_it, val[live:]])
     finals = val.reshape(r, k)
@@ -617,20 +624,38 @@ def _ascent_dual(base: SeqNormFamily, values, iterations: int = 150,
     return out.reshape(a.shape[:-1]), witness
 
 
+def _repeats(state, earlier, where=True) -> bool:
+    """Whether each array of ``state`` equals its counterpart in ``earlier``
+    bit for bit (NaN and signed zeros included) wherever ``where`` holds."""
+    return not any(np.any((x.view(np.int64) != y.view(np.int64)) & where)
+                   for x, y in zip(state, earlier))
+
+
 def _inverse_derivative(derivatives: Callable, v: np.ndarray, u: np.ndarray,
-                        top: float) -> np.ndarray:
-    """u with phi'(u) = v, elementwise, from the start ``u``: Newton of
-    log phi' against log u inside the bracket [0, top] (phi'(top) >= v),
-    bisecting whenever a step leaves the bracket."""
+                        top: float, live: np.ndarray) -> np.ndarray:
+    """u with phi'(u) = v where ``live``, elementwise, from the start ``u``:
+    Newton of log phi' against log u inside the bracket [0, top]
+    (phi'(top) >= v), bisecting whenever a step leaves the bracket.
+
+    The step map is elementwise, so once the state (u, lo, hi) of every live
+    element equals its state two steps back it cycles with period 1 or 2,
+    and the loop returns the state that all AMEMIYA_INNER_STEPS steps would
+    reach, bit for bit.  Elements outside ``live`` come back unspecified.
+    """
     lo = np.zeros_like(u)
     hi = np.full_like(u, top)
-    for _ in range(AMEMIYA_INNER_STEPS):
+    earlier, prev = None, (u, lo, hi)
+    for done in range(1, AMEMIYA_INNER_STEPS + 1):
         d1, d2 = derivatives(u)
         short = d1 < v
         lo = np.where(short, u, lo)
         hi = np.where(short, hi, u)
         step = u * np.exp(np.log(v / d1) * d1 / (u * d2))
         u = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        state = (u, lo, hi)
+        if earlier is not None and _repeats(state, earlier, live):
+            return u if (AMEMIYA_INNER_STEPS - done) % 2 == 0 else prev[0]
+        earlier, prev = prev, state
     return u
 
 
@@ -644,12 +669,13 @@ def _amemiya_dual(base: OrliczFamily, values):
     [1 / (support * u1), phi'(u1)] (u1 = phi^{-1}(1)); k comes from
     Newton of log S against log k in that bracket and each u_i from
     ``_inverse_derivative``, warm-started across outer steps.  Only
-    per-row operations run, with fixed step counts, so a row's result does
-    not depend on its batch.  The witness alpha = u / ||u|| is one
-    Luxemburg evaluation; the value <alpha, |b|> is a lower bound attained
-    by it, and the Amemiya objective at the last k is the upper side of the
-    bracket.  Returns (values, nonnegative witnesses, upper bounds); a zero
-    row has value 0 and witness 0.
+    per-row operations run, at most 16 x 16 steps, ending early only once
+    the state repeats, which gives the fixed-count result bit for bit; so a
+    row's result does not depend on its batch.  The witness
+    alpha = u / ||u|| is one Luxemburg evaluation; the value <alpha, |b|>
+    is a lower bound attained by it, and the Amemiya objective at the last
+    k is the upper side of the bracket.  Returns (values, nonnegative
+    witnesses, upper bounds); a zero row has value 0 and witness 0.
     """
     a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
     if a.shape[-1] == 0:
@@ -668,14 +694,17 @@ def _amemiya_dual(base: OrliczFamily, values):
     t_lo = np.minimum(t_hi, -np.log(support * u1))
     t = t_hi
     u = np.full_like(b, u1)
+    # the outer state (t, t_lo, t_hi, u) ends early as the inner one does;
+    # ``latest`` and ``before`` are (k, v, u, phi(u)) of the last two steps
+    earlier, prev, latest = None, (t, t_lo, t_hi, u), None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        for _ in range(AMEMIYA_OUTER_STEPS):
+        for done in range(1, AMEMIYA_OUTER_STEPS + 1):
             k = np.exp(t)
             v = k * b
             live = v > floor
             u = _inverse_derivative(phi.derivatives, v,
-                                    np.where(u > 0.0, u, u1), u1)
+                                    np.where(u > 0.0, u, u1), u1, live)
             u = np.where(live, u, 0.0)
             phi_u = phi.func(u)
             level = phi_u.sum(axis=-1, keepdims=True)
@@ -687,6 +716,14 @@ def _amemiya_dual(base: OrliczFamily, values):
             step = t - level * np.log(level) / slope
             t = np.where((step >= t_lo) & (step <= t_hi), step,
                          0.5 * (t_lo + t_hi))
+            state = (t, t_lo, t_hi, u)
+            latest, before = (k, v, u, phi_u), latest
+            if earlier is not None and _repeats(state, earlier):
+                if (AMEMIYA_OUTER_STEPS - done) % 2:
+                    latest = before
+                break
+            earlier, prev = prev, state
+        k, v, u, phi_u = latest
         upper = (1.0 + (v * u - phi_u).sum(axis=-1)) / k[:, 0]
     nrm = base.norm_array(u)
     alpha = u / np.where(nrm > 0.0, nrm, 1.0)[:, None]

@@ -7,12 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from lattice_calc import (InputError, LpFamily, OrliczFamily,
+from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           OrliczFunction, conjugate_exponent, dual_witness,
-                          kothe_dual, kothe_dual_norm, parse_gauge)
+                          kothe_dual, kothe_dual_norm, parse_gauge,
+                          seq_lattice)
 from lattice_calc.cli import EXIT_OK, run
-from lattice_calc.seq_lattice import _amemiya_dual, _ascent_dual
+from lattice_calc.seq_lattice import (AMEMIYA_INNER_STEPS,
+                                      AMEMIYA_OUTER_STEPS, _amemiya_dual,
+                                      _ascent_dual, _linear_ascent,
+                                      _structured_dual_inits,
+                                      strip_trailing_zeros)
 
 ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
 
@@ -180,3 +187,216 @@ def test_norm_gradient_uses_the_compiled_derivative():
                        atol=0.0)
     bare = OrliczFamily(OrliczFunction(lambda u: u * u)).norm_gradient(a)
     assert np.allclose(bare, exact, rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the early exits give the fixed-count results bit for bit
+
+STRESS = CORPUS + ("u^1.05", "u^12", "u+u^2", "0.01*u^2+u*exp(u)",
+                   "exp(u^2)*u^2")
+
+
+def _fixed_inverse_derivative(derivatives, v, u, top):
+    """``_inverse_derivative`` as it was before its early exit: all
+    AMEMIYA_INNER_STEPS steps, on every element."""
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, top)
+    for _ in range(AMEMIYA_INNER_STEPS):
+        d1, d2 = derivatives(u)
+        short = d1 < v
+        lo = np.where(short, u, lo)
+        hi = np.where(short, hi, u)
+        step = u * np.exp(np.log(v / d1) * d1 / (u * d2))
+        u = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    return u
+
+
+def _fixed_amemiya_dual(base, values):
+    """``_amemiya_dual`` as it was before its early exits: all
+    AMEMIYA_OUTER_STEPS outer steps of _fixed_inverse_derivative."""
+    a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
+    if not a.any():
+        return (np.zeros(a.shape[:-1]), np.zeros(np.shape(values)),
+                np.zeros(a.shape[:-1]))
+    flat = a.reshape(-1, a.shape[-1])
+    scale = flat.max(axis=-1, keepdims=True)
+    b = flat / np.where(scale != 0.0, scale, 1.0)
+    phi = base.phi
+    u1 = phi.unit_level
+    floor = phi.derivatives(np.zeros(()))[0]
+    support = np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
+    t_hi = np.full_like(scale, np.log(phi.derivatives(np.asarray(u1))[0]))
+    t_lo = np.minimum(t_hi, -np.log(support * u1))
+    t = t_hi
+    u = np.full_like(b, u1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        for _ in range(AMEMIYA_OUTER_STEPS):
+            k = np.exp(t)
+            v = k * b
+            live = v > floor
+            u = _fixed_inverse_derivative(phi.derivatives, v,
+                                          np.where(u > 0.0, u, u1), u1)
+            u = np.where(live, u, 0.0)
+            phi_u = phi.func(u)
+            level = phi_u.sum(axis=-1, keepdims=True)
+            slope = np.where(live, v * v / phi.derivatives(u)[1],
+                             0.0).sum(axis=-1, keepdims=True)
+            over = level >= 1.0
+            t_lo = np.where(over, t_lo, t)
+            t_hi = np.where(over, t, t_hi)
+            step = t - level * np.log(level) / slope
+            t = np.where((step >= t_lo) & (step <= t_hi), step,
+                         0.5 * (t_lo + t_hi))
+        upper = (1.0 + (v * u - phi_u).sum(axis=-1)) / k[:, 0]
+    nrm = base.norm_array(u)
+    alpha = u / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    value = scale[:, 0] * (alpha * b).sum(axis=-1)
+    witness = np.zeros(np.shape(values))
+    witness[..., :a.shape[-1]] = alpha.reshape(a.shape)
+    rows = a.shape[:-1]
+    return (value.reshape(rows), witness,
+            (scale[:, 0] * upper).reshape(rows))
+
+
+def _assert_same_bits(fam, betas):
+    with np.errstate(all="ignore"):
+        got = _amemiya_dual(fam, betas)
+        want = _fixed_amemiya_dual(fam, betas)
+    for name, g, w in zip(("value", "witness", "upper"), got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+def _stress_batches(rng):
+    yield rng.standard_normal((20, 8))
+    yield rng.standard_normal((10, 64))
+    yield rng.standard_normal(1)
+    yield rng.standard_normal(3)
+    yield rng.standard_normal((1, 5))
+    # twelve decades within a row
+    yield rng.standard_normal((20, 8)) * 10.0 ** rng.uniform(-6, 6, (20, 8))
+    yield rng.standard_normal((6, 64)) * 10.0 ** rng.uniform(-6, 6, (6, 64))
+    mixed = rng.standard_normal((8, 6))
+    mixed[1] = 0.0
+    mixed[2, 3] = np.nan
+    mixed[3:, 4:] = 0.0  # padded rows in a batch that has no zero tail
+    yield mixed
+    yield 1e300 * rng.standard_normal((5, 7))
+    yield 1e-300 * rng.standard_normal((5, 7))
+    padded = rng.standard_normal((4, 9))
+    padded[:, 6:] = 0.0
+    yield padded
+    yield np.array([[0.0, 0.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("gauge", STRESS)
+def test_early_exit_is_bitwise_the_fixed_count_solve(gauge):
+    fam = OrliczFamily(parse_gauge(gauge))
+    for betas in _stress_batches(np.random.default_rng(5)):
+        _assert_same_bits(fam, betas)
+
+
+@seed(10)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STRESS), st.integers(1, 4), st.integers(1, 12),
+       st.floats(0.0, 12.0), st.integers(-300, 300),
+       st.integers(0, 2**32 - 1))
+def test_early_exit_bitwise_property(gauge, rows, n, decades, exponent,
+                                     draw):
+    rng = np.random.default_rng(draw)
+    spread = 10.0 ** rng.uniform(-decades / 2, decades / 2, (rows, n))
+    betas = rng.standard_normal((rows, n)) * spread * 10.0 ** exponent
+    betas[rng.random((rows, n)) < 0.2] = 0.0
+    _assert_same_bits(OrliczFamily(parse_gauge(gauge)), betas)
+
+
+def test_one_row_solve_takes_few_inner_steps(monkeypatch):
+    # the fixed count is AMEMIYA_OUTER_STEPS * AMEMIYA_INNER_STEPS = 256
+    fam = OrliczFamily(parse_gauge("u^2"))
+    steps = []
+    inner = seq_lattice._inverse_derivative
+
+    def counted(derivatives, *args):
+        def count(u):
+            steps.append(1)
+            return derivatives(u)
+        return inner(count, *args)
+
+    monkeypatch.setattr(seq_lattice, "_inverse_derivative", counted)
+    _amemiya_dual(fam, np.array([FIXED]))
+    assert 0 < len(steps) <= 32
+
+
+def test_unit_level_is_the_full_bisection():
+    for gauge in STRESS:
+        phi = parse_gauge(gauge)
+        hi = 1.0
+        while float(phi(hi)) < 1.0:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if float(phi(mid)) >= 1.0:
+                hi = mid
+            else:
+                lo = mid
+        assert phi.unit_level == 0.5 * (lo + hi), gauge
+
+
+def _fixed_linear_ascent(family, targets, inits, iterations, step0, static):
+    """``_linear_ascent`` as it was before its stall exit."""
+    b = np.abs(np.asarray(targets, dtype=float))
+    k, n = b.shape
+    inits = list(inits) + list(static)
+    iterated = len(inits) - len(static)
+    r = len(inits)
+    alpha = np.concatenate([np.asarray(a, dtype=float) for a in inits])
+    bb = np.tile(b, (r, 1))
+    nrm = family.norm_array(alpha)
+    alpha = alpha / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    val = (alpha * bb).sum(axis=-1)
+    live = iterated * k
+    a_it, b_it, v_it = alpha[:live], bb[:live], val[:live]
+    eta = np.full(live, step0)
+    unit = np.ones(live)
+    for _ in range(iterations):
+        g = family.norm_gradient(a_it, norms=unit)
+        gg = (g * g).sum(axis=-1)
+        gb = (g * b_it).sum(axis=-1)
+        d = b_it - g * (gb / np.maximum(gg, 1e-300))[:, None]
+        dn = np.sqrt((d * d).sum(axis=-1))
+        d = d / np.maximum(dn, 1e-300)[:, None]
+        cand = np.maximum(a_it + eta[:, None] * d, 0.0)
+        cn = family.norm_array(cand)
+        ok = cn > 0.0
+        cand = np.where(ok[:, None], cand / np.where(ok, cn, 1.0)[:, None],
+                        a_it)
+        cv = (cand * b_it).sum(axis=-1)
+        adopt = ok & (cv > v_it) & (dn > 1e-15)
+        a_it = np.where(adopt[:, None], cand, a_it)
+        v_it = np.where(adopt, cv, v_it)
+        eta = np.clip(np.where(adopt, eta * 1.4, eta * 0.4), 1e-14, 4.0)
+    alpha = np.concatenate([a_it, alpha[live:]])
+    val = np.concatenate([v_it, val[live:]])
+    finals = val.reshape(r, k)
+    stacked = alpha.reshape(r, k, n)
+    top = finals.argmax(axis=0)
+    return finals[top, np.arange(k)], stacked[top, np.arange(k)], finals
+
+
+def test_linear_ascent_stall_exit_is_the_fixed_count_ascent():
+    calls = []
+
+    def l3(row):
+        calls.append(1)
+        return float((np.abs(row) ** 3).sum() ** (1.0 / 3.0))
+
+    fam = CustomFamily(l3, label="l3-oracle")
+    targets = np.abs(np.random.default_rng(3).standard_normal((4, 5)))
+    iterated, static = _structured_dual_inits(targets)
+    got = _linear_ascent(fam, targets, iterated, 150, 0.25, static)
+    early = len(calls)
+    want = _fixed_linear_ascent(fam, targets, iterated, 150, 0.25, static)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert early < len(calls) - early  # the exit fired
