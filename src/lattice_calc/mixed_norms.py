@@ -58,16 +58,20 @@ def mixed_norm_equivalence_check(space: FiniteLattice, family: SeqNormFamily,
 
     Upper constant: family norm of the all-ones vector.  Lower constant:
     the smallest canonical-vector norm divided by the tuple length.
+    Leading axes of ``rows`` are batch axes: a batch gets arrays of the
+    batch shape, one tuple a float, a float and a bool.
     """
-    a = as_rows(rows, space.dim)
-    n = a.shape[0]
-    tau = pointwise_mixed_norm(space, family, a)
-    summed = float(space.norm_array(a).sum())
-    upper = family.norm(np.ones(n))
-    lower = min(family.unit_vector_norm(j, n) for j in range(n)) / n
-    holds = (lower * summed <= tau * (1.0 + rtol) + 1e-300
-             and tau <= upper * summed * (1.0 + rtol) + 1e-300)
-    return tau, summed, bool(holds)
+    a = as_array(rows, (..., None, space.dim), "tuple")
+    n = a.shape[-2]
+    tau = pointwise_mixed_norm_batch(space, family, a)
+    summed = space.norm_array(a).sum(axis=-1)
+    constants = family.norm_array(np.vstack([np.ones(n), np.eye(n)]))
+    upper, lower = constants[0], constants[1:].min() / n
+    holds = ((lower * summed <= tau * (1.0 + rtol) + 1e-300)
+             & (tau <= upper * summed * (1.0 + rtol) + 1e-300))
+    if a.ndim == 2:
+        return float(tau), float(summed), bool(holds)
+    return tau, summed, holds
 
 
 def tail_profile(family: SeqNormFamily, space: NormedSpace,

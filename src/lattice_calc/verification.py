@@ -424,9 +424,8 @@ def mixed_suite(counts: dict | None = None, seed: int = 300) -> list[dict]:
                   + pointwise_mixed_norm_batch(space, fam, other))
             worst_tri = max(worst_tri,
                             float(((t1 - t2) / np.maximum(t2, 1e-300)).max()))
-            for row in tuples[:8]:
-                _, _, ok = mixed_norm_equivalence_check(space, fam, row)
-                worst_equiv_ok = worst_equiv_ok and ok
+            _, _, ok = mixed_norm_equivalence_check(space, fam, tuples[:8])
+            worst_equiv_ok = worst_equiv_ok and bool(ok.all())
     records.append(_worst_record("mixed_zero_padding_exact", worst_pad, 0.0,
                                  "all", seed, inst))
     records.append(_worst_record("mixed_prefix_monotone", worst_prefix, 1e-12,

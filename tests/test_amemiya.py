@@ -1,5 +1,6 @@
 """Koethe duals of Luxemburg norms by the Amemiya solve, against the
-benchmark's numpy-only oracles and against positive-sphere ascent."""
+benchmark's numpy-only oracles and against positive-sphere ascent; and
+Luxemburg norms by Newton against the bisection they replace."""
 
 import importlib.util
 import warnings
@@ -16,7 +17,8 @@ from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           seq_lattice)
 from lattice_calc.cli import EXIT_OK, run
 from lattice_calc.seq_lattice import (AMEMIYA_INNER_STEPS,
-                                      AMEMIYA_OUTER_STEPS, _amemiya_dual,
+                                      AMEMIYA_OUTER_STEPS,
+                                      LUXEMBURG_BISECT_STEPS, _amemiya_dual,
                                       _ascent_dual, _linear_ascent,
                                       _structured_dual_inits,
                                       strip_trailing_zeros)
@@ -400,3 +402,119 @@ def test_linear_ascent_stall_exit_is_the_fixed_count_ascent():
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
     assert early < len(calls) - early  # the exit fired
+
+
+# ---------------------------------------------------------------------------
+# Luxemburg norms: Newton for compiled gauges, the bisection for the others
+
+
+def _bisection_norms(fam, values):
+    """``OrliczFamily.norm_array`` as it was before the Newton path: a fixed
+    LUXEMBURG_BISECT_STEPS halvings of [m / u1, support * m / u1]."""
+    a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
+    m = a.max(axis=-1)
+    support = np.count_nonzero(a, axis=-1)
+    active = m != 0.0
+    u1 = fam.phi.unit_level
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        big = (~np.isfinite(2.0 * (np.maximum(support, 1) * m / u1))
+               & np.isfinite(m))
+    if big.any():
+        scale = np.where(big, m, 1.0)
+        a = a / scale[..., None]
+        m = m / scale
+    lo = np.where(active, m / u1, 1.0)
+    hi = np.where(active, np.maximum(support, 1) * m / u1, 2.0)
+    for _ in range(LUXEMBURG_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        level = fam.phi.func(a / mid[..., None]).sum(axis=-1)
+        above = level > 1.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return np.where(active, 0.5 * (lo + hi) * scale, 0.0)
+
+
+def _luxemburg_batches(rng):
+    """Rows with twelve decades of range and zero tails, their maxima
+    spread over 1e-300 .. 1e300 (never subnormal, where no method keeps
+    1e-15 relative)."""
+    for exponent in (-300, -100, 0, 100, 300):
+        for shape in [(20, 8), (6, 64), (30, 5), (1, 3), (4,)]:
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+            x /= np.abs(x).max(axis=-1, keepdims=True)
+            x *= 10.0 ** rng.uniform(exponent - 1, exponent + 1,
+                                     shape[:-1] + (1,))
+            x[..., 0] = np.abs(x).max(axis=-1)  # the max survives the tails
+            if x.ndim == 2 and len(x) > 2:
+                x[::3, shape[1] // 2:] = 0.0
+            yield x
+
+
+@pytest.mark.parametrize("gauge", STRESS)
+def test_newton_luxemburg_matches_the_bisection(gauge):
+    fam = OrliczFamily(parse_gauge(gauge))
+    assert fam.phi.derivatives is not None
+    for values in _luxemburg_batches(np.random.default_rng(21)):
+        got = fam.norm_array(values)
+        want = _bisection_norms(fam, values)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * want), gauge
+
+
+@pytest.mark.parametrize("gauge", STRESS)
+def test_newton_luxemburg_rows_independent_of_batch(gauge):
+    fam = OrliczFamily(parse_gauge(gauge))
+    rng = np.random.default_rng(22)
+    batch = rng.standard_normal((9, 6))
+    batch[3:6, 4:] = 0.0  # zero tails the batch lacks
+    batch[6] = 0.0
+    shared = rng.standard_normal((4, 64))
+    shared[:, 40:] = 0.0  # a zero tail every row has
+    for values in (batch, shared, batch.reshape(3, 3, 6)):
+        flat = values.reshape(-1, values.shape[-1])
+        got = fam.norm_array(values).ravel()
+        for row, value in zip(flat, got):
+            alone = fam.norm_array(row)
+            padded = fam.norm_array(np.concatenate([row, np.zeros(5)]))
+            assert alone.tobytes() == value.tobytes() == padded.tobytes()
+
+
+def test_newton_luxemburg_nan_and_zero_rows():
+    for gauge in STRESS:
+        fam = OrliczFamily(parse_gauge(gauge))
+        vals = fam.norm_array(np.array([[0.0, 0.0], [np.nan, 1.0],
+                                        [1.0, 2.0]]))
+        assert vals[0] == 0.0 and np.isnan(vals[1]) and vals[2] > 0.0
+        assert not fam.norm_array(np.zeros((2, 3, 4))).any()
+
+
+@pytest.mark.parametrize("phi", [
+    OrliczFunction(lambda u: u * u), OrliczFunction(lambda u: u * np.exp(u)),
+    parse_gauge("u"), parse_gauge("(u^2)^0.75"),
+], ids=["bare_u2", "bare_uexp", "u", "u2_power_0.75"])
+def test_gauges_without_derivatives_keep_the_bisection(phi):
+    fam = OrliczFamily(phi)
+    assert fam.phi.derivatives is None
+    for values in _luxemburg_batches(np.random.default_rng(23)):
+        with np.errstate(over="ignore"):
+            got = fam.norm_array(values)
+            want = _bisection_norms(fam, values)
+        assert got.tobytes() == want.tobytes()
+    big = np.array([5e307, 5e307, 1e307])  # the bracket overflows
+    assert fam.norm_array(big).tobytes() == _bisection_norms(
+        fam, big).tobytes()
+
+
+def test_one_row_newton_takes_few_steps():
+    fam = OrliczFamily(parse_gauge("u^2"))
+    steps = []
+    derivatives = fam.phi.derivatives
+
+    def counted(u):
+        steps.append(1)
+        return derivatives(u)
+
+    fam.phi.derivatives = counted
+    fam.norm_array(np.array(FIXED))
+    assert 0 < len(steps) <= 8

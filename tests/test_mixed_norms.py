@@ -108,6 +108,23 @@ def test_equivalence_check_single_row_and_sweep():
         assert ok
 
 
+@pytest.mark.parametrize("fam", [LpFamily(1.5), LpFamily(3),
+                                 OrliczFamily(parse_gauge("u*exp(u)"))],
+                         ids=["l1.5", "l3", "orlicz_uexp"])
+def test_equivalence_check_batch_equals_tuples(fam):
+    X = lattice(3, LpFamily(2))
+    batch = np.random.default_rng(5).standard_normal((2, 4, 3, 3)) * 2.0
+    batch[0, 1, 2] = 0.0  # a zero row inside one tuple
+    tau, summed, holds = mixed_norm_equivalence_check(X, fam, batch)
+    assert tau.shape == summed.shape == holds.shape == (2, 4)
+    alone = [mixed_norm_equivalence_check(X, fam, x)
+             for x in batch.reshape(-1, 3, 3)]
+    assert all(type(t) is float and type(s) is float and type(h) is bool
+               for t, s, h in alone)
+    for got, want in zip((tau, summed, holds), zip(*alone)):
+        assert got.ravel().tolist() == list(want)
+
+
 def test_equivalence_disjoint_l1_equality():
     # additive lattice norm on disjoint supports: the two sides coincide
     X = lattice(2, LpFamily(1))

@@ -284,6 +284,17 @@ def test_ascent_dual_keeps_nan_rows(family):
     assert vals[1] > 0.0 and vals[2] == 0.0
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_lp_vector_norm_equals_its_batch_row(p):
+    # numpy's scalar pow once took the root of a lone vector and could
+    # differ in the last bit from the array pow of the same row in a batch
+    fam = LpFamily(p)
+    batch = np.random.default_rng(41).standard_normal((3000, 5))
+    rows = fam.norm_array(batch)
+    alone = [fam.norm(v) for v in batch]
+    assert np.asarray(alone).tobytes() == rows.tobytes()
+
+
 def test_scalar_entry_points_reject_nan():
     E = lattice(2, LpFamily(2))
     with pytest.raises(InputError):

@@ -1,0 +1,141 @@
+"""Dump the fixed-seed reports of this checkout, or compare two dumps.
+
+    python3 tools/report_digests.py dump OUT.json
+    python3 tools/report_digests.py compare A.json B.json
+
+``dump`` runs the program from this checkout's src/ and writes, as
+canonical JSON (sorted keys, floats that read back exactly):
+
+- every ``duality_lp`` and ``orlicz_dual`` CLI report at bench seeds 1-3,
+  and the ``orlicz_dual`` sweeps at the same seeds (15 arrays);
+- ``verify`` at default counts, seeds 0 and 42;
+- ``verify`` at the ``verify_cli`` bench counts, bench seeds 1-3 and 44.
+
+The operations come from bench/workloads.py, which is imported and never
+changed.  ``compare`` prints one line per output that differs, with the
+number of fields that moved and the largest relative change among them,
+and exits 1 when anything differs; for identical dumps it prints nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_SEEDS = (1, 2, 3)
+VERIFY_SEEDS = (0, 42)
+VERIFY_CLI_SEEDS = (1, 2, 3, 44)
+
+
+def _program():
+    """lattice_calc from this checkout's src/ and the bench workloads."""
+    for path in (ROOT / "bench", ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import lattice_calc
+    import lattice_calc.cli
+    import lattice_calc.verification
+    import workloads
+    origin = Path(lattice_calc.__file__).resolve()
+    if (ROOT / "src").resolve() not in origin.parents:
+        raise SystemExit(f"lattice_calc imported from {origin}, "
+                         f"not {ROOT / 'src'}")
+    return lattice_calc, workloads
+
+
+def outputs():
+    """(name, thunk) for every output of a dump, in a fixed order; a thunk
+    returns the output as plain JSON data."""
+    lc, wl = _program()
+    for seed in BENCH_SEEDS:
+        for op in wl.DualityLp(seed).round():
+            yield (f"duality_lp/seed={seed}/{op.name}",
+                   lambda op=op: op.run(lc)[0])
+    for seed in BENCH_SEEDS:
+        work = wl.OrliczDual(seed)
+        work.build(lc)
+        for op in work.round():
+            if isinstance(op, wl.SweepOp):
+                yield (f"orlicz_dual/seed={seed}/{op.name}",
+                       lambda op=op: op.run(lc).tolist())
+            else:
+                yield (f"orlicz_dual/seed={seed}/{op.name}",
+                       lambda op=op: op.run(lc)[0])
+    for seed in VERIFY_SEEDS:
+        yield (f"verify/seed={seed}",
+               lambda seed=seed: lc.cli.run({"task": "verify", "seed": seed}))
+    for seed in VERIFY_CLI_SEEDS:
+        work = wl.VerifyCli(seed)
+        work.build(lc)
+        yield (f"verify_cli/seed={seed}", lambda op=work.op: op.run(lc)[0])
+
+
+def write(path, dump: dict) -> None:
+    Path(path).write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")
+
+
+def _changes(a, b, where=""):
+    """(path, relative change, a, b) of every leaf where they differ;
+    a change of type, keys or length counts as an infinite one."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return [(where, math.inf, sorted(a), sorted(b))]
+        return [c for k in sorted(a) for c in _changes(a[k], b[k],
+                                                       f"{where}.{k}")]
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [(where, math.inf, f"{len(a)} items", f"{len(b)} items")]
+        return [c for i, (x, y) in enumerate(zip(a, b))
+                for c in _changes(x, y, f"{where}[{i}]")]
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (a, b))
+    if numbers:
+        if a == b or (a != a and b != b):  # NaN equals NaN here
+            return []
+        big = max(abs(a), abs(b))
+        rel = abs(a - b) / big if math.isfinite(big) and big > 0 else math.inf
+        return [(where, rel, a, b)]
+    if a == b and type(a) is type(b):
+        return []
+    return [(where, math.inf, a, b)]
+
+
+def compare(path_a, path_b) -> int:
+    a = json.loads(Path(path_a).read_text())
+    b = json.loads(Path(path_b).read_text())
+    status = 0
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            print(f"{name}: only in {path_a if name in a else path_b}")
+            status = 1
+            continue
+        changes = _changes(a[name], b[name])
+        if changes:
+            where, rel, old, new = max(changes, key=lambda c: c[1])
+            print(f"{name}: {len(changes)} field(s) moved, largest "
+                  f"relative change {rel:.3g} at {where or '(top)'} "
+                  f"({old!r} -> {new!r})")
+            status = 1
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("dump").add_argument("out")
+    cmp = sub.add_parser("compare")
+    cmp.add_argument("a")
+    cmp.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        write(args.out, {name: thunk() for name, thunk in outputs()})
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
