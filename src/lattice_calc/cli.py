@@ -27,11 +27,11 @@ Operators: {"matrix": [[...], ...] | "matrix_csv": "path"
 
 Budget keys are "restarts", "iterations" and "step0" (the initial step of
 the numeric dual ascent); any other key is invalid input.  A numeric
-``dualnorm`` on an Orlicz family with a gauge expression is the Amemiya
-solve, which takes no budget: the keys are checked and then ignored, and
-"converged" means its value/upper-bound bracket is at most 1e-9 wide,
-relative.  Every field is type-checked ("seed" is a nonnegative integer; a
-bool is never a number).
+``dualnorm`` on an Orlicz family is the Amemiya solve (a closed form for a
+linear gauge c*u), which takes no budget: the keys are checked and then
+ignored, and "converged" means its value/upper-bound bracket is at most
+1e-9 wide, relative.  Every field is type-checked ("seed" is a nonnegative
+integer; a bool is never a number).
 Reports are deterministic for a fixed config (no timestamps), so replaying
 a run yields a byte-identical file.  Exit status: 0 success, 1 a check
 failed, 2 invalid input (malformed fields included), 3 a numeric routine

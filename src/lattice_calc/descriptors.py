@@ -97,8 +97,10 @@ class _Parser:
         node = self.atom()
         if self.peek() == "^":
             self.take("^")
-            exponent = self.atom()
-            node = ("pow", node, _const_value(exponent, self.text))
+            p = _const_value(self.atom(), self.text)
+            if node[0] == "pow":  # (f^a)^p = f^(a p), as no value is negative
+                node, p = node[1], node[2] * p
+            node = ("pow", node, p)
         return node
 
     def atom(self):
@@ -138,7 +140,7 @@ def _compile(node):
     A number that is one operand of + or * enters as a Python float, which
     gives the same products and sums as a filled array.  Small integer
     powers are repeated multiplications: float pow is the dominant cost
-    inside Luxemburg bisections.
+    inside Luxemburg solves.
     """
     kind = node[0]
     if kind == "num":
@@ -227,9 +229,45 @@ def _derivative(node):
     raise DescriptorError(f"unknown node {kind!r}")
 
 
+def _leading(node):
+    """(c, q) with c u^q the leading term of an AST as u -> 0+ (q = inf for
+    zero); every subexpression is nonnegative there."""
+    kind = node[0]
+    if kind == "num":  # numpy floats: an overflow is inf, not an exception
+        return np.float64(node[1]), (0.0 if node[1] > 0.0 else math.inf)
+    if kind == "var":
+        return 1.0, 1.0
+    c, q = _leading(node[1])
+    if kind == "exp":
+        return np.exp(c if q == 0.0 else 0.0), 0.0
+    if kind == "pow":
+        return c ** node[2], q * node[2]
+    c2, q2 = _leading(node[2])
+    if kind == "mul":
+        return c * c2, q + q2
+    return (c + c2 if q == q2 else c if q < q2 else c2), min(q, q2)
+
+
+def _quiet(f, c=None, q=None):
+    """``f`` on float arrays, with no warning for 0 * inf or overflow; given
+    ``c`` and ``q``, c u^q wherever ``f`` is not finite."""
+    def call(u):
+        u = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = f(u)
+            return v if q is None else np.where(np.isfinite(v), v, c * u ** q)
+    return call
+
+
 def parse_gauge(expression: str) -> OrliczFunction:
     """Compile a gauge expression to a validated Orlicz function that
-    carries its derivatives (phi', phi'')."""
+    carries its derivatives phi' and phi''.
+
+    Where the compiled phi' is not finite at 0 (0 * inf, as in u^2*u^0.5),
+    phi' and phi'' wherever they are not finite (also where a base such as
+    u^2+u^3 underflows under a negative power) are those of the leading
+    term c u^q near 0, so phi'(0) is c when q = 1, and 0 when q > 1.
+    """
     ast = _Parser(expression).parse()
     phi = _compile(ast)
     first = _derivative(ast)
@@ -238,12 +276,17 @@ def parse_gauge(expression: str) -> OrliczFunction:
     def func(u):
         return phi(np.asarray(u, dtype=float))
 
-    def derivatives(u):
-        arr = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return dphi(arr), ddphi(arr)
+    def derivative(u):  # the hot call: a finite phi'(0) rules out 0 * inf
+        return dphi(np.asarray(u, dtype=float))
 
-    return OrliczFunction(func, expression=expression, derivatives=derivatives)
+    second_derivative = _quiet(ddphi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not np.isfinite(dphi(np.zeros(()))):  # q < 1 gives phi'(0) = inf
+            c, q = _leading(ast)
+            derivative = _quiet(dphi, c * q, q - 1.0)
+            second_derivative = _quiet(ddphi, c * q * (q - 1.0), q - 2.0)
+    return OrliczFunction(func, expression=expression, derivative=derivative,
+                          second_derivative=second_derivative)
 
 
 def _parse_exponent(desc: dict) -> float:

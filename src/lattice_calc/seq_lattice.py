@@ -3,9 +3,9 @@
 A family assigns a lattice (monotone) norm to R^n for every n, consistently
 under zero padding.  Built-ins: lp, weighted lp, Orlicz (Luxemburg norm) and
 custom oracles.  Koethe duals are closed-form for the lp-type families,
-the Amemiya (Orlicz) norm of the complementary gauge for a Luxemburg norm
-with a compiled gauge, and otherwise certified lower bounds obtained by
-ascent over the positive part of the unit sphere.
+the Amemiya (Orlicz) norm of the complementary gauge for a Luxemburg norm,
+and otherwise certified lower bounds obtained by ascent over the positive
+part of the unit sphere.
 """
 
 from __future__ import annotations
@@ -19,18 +19,11 @@ import numpy as np
 from .errors import DescriptorError, DimensionMismatchError, InputError
 from .seeding import spawn_rngs
 
-# Luxemburg norms: a gauge with compiled derivatives takes at most 16
-# Newton steps, ending early only once the state repeats (as the Amemiya
-# solve below does), which gives the 16-step result bit for bit; a gauge
-# without them takes a fixed 60 halvings of a bracket of relative width
-# <= n, far below the 1e-12 relative target for any desk-scale n.  Either
-# way a row's value does not depend on how calls are batched.
+# Newton step ceilings of the Luxemburg norm and of the Amemiya dual solve
+# (outer: the level k; inner: phi'(u) = k|b_i| at each outer step).  Each
+# loop ends early only once its state repeats, which gives the fixed-count
+# result bit for bit, so a result does not depend on how calls are batched.
 LUXEMBURG_NEWTON_STEPS = 16
-LUXEMBURG_BISECT_STEPS = 60
-# Newton step ceilings of the Amemiya dual solve (outer: the level k; inner:
-# phi'(u) = k|b_i| at each outer step): at most 16 x 16 steps, ending early
-# only once the state repeats, which gives the fixed-count result bit for
-# bit; so, as above, a result does not depend on how calls are batched.
 AMEMIYA_OUTER_STEPS = 16
 AMEMIYA_INNER_STEPS = 16
 
@@ -278,56 +271,62 @@ class WeightedLpFamily(SeqNormFamily):
 
 
 class OrliczFunction:
-    """Convex gauge phi with phi(0) = 0, strictly increasing, array-valued.
+    """Convex gauge phi with phi(0) = 0, strictly increasing, array-valued,
+    with its derivatives: ``derivative`` maps u to phi'(u) and
+    ``second_derivative`` to phi''(u).  ``parse_gauge`` builds them.
 
     Validated at construction on a sampled grid: value at zero, strict
-    monotonicity, and midpoint convexity on seeded pairs.  ``unit_level``
-    caches the solution of phi(u) = 1 used to bracket Luxemburg norms.
-    ``derivatives`` maps u to (phi'(u), phi''(u)); it is kept only when
-    phi' is finite at 0 and on the probe grid and phi'' is positive there
-    (phi' then has an inverse), and is None for a gauge given as a bare
-    callable.
+    monotonicity, and midpoint convexity on seeded pairs; phi' must be
+    finite at 0 and on the probe grid, and phi'' positive there (phi' then
+    has an inverse) unless it vanishes on the whole grid, which makes
+    phi = c u (``linear``).  ``unit_level`` caches the solution of
+    phi(u) = 1 used to bracket Luxemburg norms.
     """
 
     def __init__(self, func: Callable, expression: str | None = None,
-                 grid_max: float = _GAUGE_GRID_MAX,
-                 derivatives: Callable | None = None):
+                 derivative: Callable | None = None,
+                 second_derivative: Callable | None = None):
+        if derivative is None or second_derivative is None:
+            raise InputError("an Orlicz gauge needs its derivatives: build it "
+                             "with parse_gauge, or use CustomFamily")
         self.func = func
         self.expression = expression
-        self._validate(grid_max)
+        self.derivative = derivative
+        self.second_derivative = second_derivative
+        self._validate()
         self.unit_level = self._solve_unit_level()
-        if derivatives is not None:
-            grid = np.concatenate([[0.0], np.geomspace(1e-8, grid_max, 64)])
-            d1, d2 = derivatives(grid)
-            if not (np.all(np.isfinite(d1)) and np.all(d2[1:] > 0.0)):
-                derivatives = None
-        self.derivatives = derivatives
 
     def __call__(self, u):
         return self.func(np.asarray(u, dtype=float))
 
-    def _validate(self, grid_max: float) -> None:
+    def _validate(self) -> None:
         try:
             at_zero = float(self.func(np.asarray(0.0)))
         except Exception as exc:  # noqa: BLE001 - diagnostics wrap any failure
             raise InputError(f"gauge evaluation failed at 0: {exc}") from exc
         if at_zero != 0.0:
             raise InputError(f"gauge must vanish at 0, got phi(0) = {at_zero}")
-        grid = np.geomspace(1e-8, grid_max, 64)
+        grid = np.geomspace(1e-8, _GAUGE_GRID_MAX, 64)
         vals = np.asarray(self.func(grid), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise InputError("gauge is not finite on the probe grid")
         if np.any(vals <= 0.0) or np.any(np.diff(vals) <= 0.0):
             raise InputError("gauge must be strictly increasing on (0, inf)")
         rng = np.random.default_rng(190557)
-        u = rng.uniform(0.0, grid_max, _CONVEXITY_PAIRS)
-        v = rng.uniform(0.0, grid_max, _CONVEXITY_PAIRS)
+        u = rng.uniform(0.0, _GAUGE_GRID_MAX, _CONVEXITY_PAIRS)
+        v = rng.uniform(0.0, _GAUGE_GRID_MAX, _CONVEXITY_PAIRS)
         mid = np.asarray(self.func((u + v) / 2.0), dtype=float)
         avg = (np.asarray(self.func(u), float) + np.asarray(self.func(v), float)) / 2.0
         worst = float((mid - avg).max())
         if worst > _CONVEXITY_SLACK:
             raise InputError(
                 f"gauge fails midpoint convexity by {worst:.3e} on sampled pairs")
+        curvature = self.second_derivative(grid)
+        self.linear = not curvature.any()
+        if not (np.all(np.isfinite(self.derivative(np.append(0.0, grid))))
+                and (self.linear or np.all(curvature > 0.0))):
+            raise InputError("gauge needs phi' finite at 0 and on the probe "
+                             "grid, and phi'' positive there or zero")
 
     def _solve_unit_level(self) -> float:
         hi = 1.0
@@ -350,24 +349,21 @@ class OrliczFunction:
 
 
 class OrliczFamily(SeqNormFamily):
-    """Luxemburg norm of an Orlicz gauge, by bracketed Newton or bisection.
+    """Luxemburg norm of an Orlicz gauge, by bracketed Newton.
 
-    The target map lam -> sum_i phi(|t_i|/lam) is nonincreasing, so the
-    bracket [max|t| / u1, support * max|t| / u1] with u1 = phi^{-1}(1) always
-    contains the norm.  A gauge with compiled derivatives takes Newton of
-    log S against log lam in that bracket (``_newton_norms``), at most
-    LUXEMBURG_NEWTON_STEPS steps, ending early only once the state repeats;
-    within about 1e-15 relative of the bisection.  Any other gauge takes a
-    fixed halving count, which pins the norm to far below 1e-12 relative.
-    Either way each row is solved on its own, and appending zeros changes
-    neither the bracket nor any iterate, so padding consistency is exact.
+    Each row is scaled by its max, to b.  The map N -> S = sum_i phi(b_i/N)
+    is nonincreasing, so the bracket [1 / u1, support / u1] with
+    u1 = phi^{-1}(1) always contains the norm N of b.  Newton of log S
+    against log N runs in that bracket, bisecting whenever a step leaves
+    it, at most LUXEMBURG_NEWTON_STEPS steps, ending early only once the
+    state repeats; for u^p and c u the first step is exact.  Each row is
+    solved on its own, and appending zeros changes neither the bracket nor
+    any iterate, so padding consistency is exact.
     """
 
     kind = "orlicz"
 
     def __init__(self, phi: OrliczFunction, label: str | None = None):
-        if not isinstance(phi, OrliczFunction):
-            phi = OrliczFunction(phi)
         self.phi = phi
         if label is None:
             label = f"orlicz[{phi.expression}]" if phi.expression else "orlicz"
@@ -377,44 +373,11 @@ class OrliczFamily(SeqNormFamily):
         a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
         if a.shape[-1] == 0:
             raise InputError("empty vector")
-        if self.phi.derivatives is not None:
-            return self._newton_norms(a)
-        m = a.max(axis=-1)
-        support = np.count_nonzero(a, axis=-1)
-        active = m != 0.0  # a row with a NaN stays NaN
-        u1 = self.phi.unit_level
-        # rows whose bracket sum lo + hi would overflow are bisected rescaled
-        # by their max (the norm is homogeneous); other rows are untouched
-        scale = 1.0
-        with np.errstate(over="ignore"):
-            big = (~np.isfinite(2.0 * (np.maximum(support, 1) * m / u1))
-                   & np.isfinite(m))
-        if big.any():
-            scale = np.where(big, m, 1.0)
-            a = a / scale[..., None]
-            m = m / scale
-        lo = np.where(active, m / u1, 1.0)
-        hi = np.where(active, np.maximum(support, 1) * m / u1, 2.0)
-        f = self.phi.func
-        for _ in range(LUXEMBURG_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            level = f(a / mid[..., None]).sum(axis=-1)
-            above = level > 1.0
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        return np.where(active, 0.5 * (lo + hi) * scale, 0.0)
-
-    def _newton_norms(self, a):
-        """Luxemburg norms of the nonnegative rows of ``a`` by Newton of
-        log S against log N, S = sum_i phi(b_i / N) with b the row scaled
-        by its max, inside the bracket [1 / u1, support / u1] that holds
-        the norm of b, bisecting whenever a step leaves it.  For u^p the
-        first step is exact."""
         flat = a.reshape(-1, a.shape[-1])
         m = flat.max(axis=-1, keepdims=True)
         active = m != 0.0  # a row with a NaN stays NaN
         b = flat / np.where(active, m, 1.0)
-        f, derivatives = self.phi.func, self.phi.derivatives
+        f, derivative = self.phi.func, self.phi.derivative
         lo = np.full_like(m, 1.0 / self.phi.unit_level)
         hi = lo * np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
         x = lo
@@ -427,7 +390,7 @@ class OrliczFamily(SeqNormFamily):
             for done in range(1, LUXEMBURG_NEWTON_STEPS + 1):
                 u = b / x
                 level = f(u).sum(axis=-1, keepdims=True)
-                slope = (u * derivatives(u)[0]).sum(axis=-1, keepdims=True)
+                slope = (u * derivative(u)).sum(axis=-1, keepdims=True)
                 over = level > 1.0
                 lo = np.where(over, x, lo)
                 hi = np.where(over, hi, x)
@@ -444,18 +407,12 @@ class OrliczFamily(SeqNormFamily):
         return norms[:, 0].reshape(a.shape[:-1])
 
     def norm_gradient(self, values, norms=None):
-        # Implicit differentiation of sum_i phi(|t_i|/N) = 1; phi' is the
-        # compiled derivative, or a finite-difference slope without one.
+        # Implicit differentiation of sum_i phi(|t_i|/N) = 1.
         a = np.asarray(values, dtype=float)
         nrm = self.norm_array(a) if norms is None else np.asarray(norms, float)
         safe = np.where(nrm > 0.0, nrm, 1.0)[..., None]
         u = np.abs(a) / safe
-        if self.phi.derivatives is not None:
-            slope = self.phi.derivatives(u)[0]
-        else:
-            h = 1e-7
-            lo = np.maximum(u - h, 0.0)
-            slope = (self.phi.func(u + h) - self.phi.func(lo)) / (u + h - lo)
+        slope = self.phi.derivative(u)
         denom = (u * slope).sum(axis=-1, keepdims=True)
         grad = np.sign(a) * slope / np.maximum(denom, 1e-300)
         return np.where(nrm[..., None] > 0.0, grad, 0.0)
@@ -610,7 +567,7 @@ def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
 class NumericDualFamily(SeqNormFamily):
     """Koethe dual evaluated numerically, wrapped as a norm family.
 
-    An Orlicz base with a compiled gauge goes to the Amemiya solve
+    An Orlicz base goes to the Amemiya solve
     (``_amemiya_dual``); any other base to positive-sphere ascent from
     start points that are deterministic functions of the scale-normalized
     input.  Neither depends on batching, so the family is usable inside
@@ -683,7 +640,7 @@ def _repeats(state, earlier, where=True) -> bool:
                    for x, y in zip(state, earlier))
 
 
-def _inverse_derivative(derivatives: Callable, v: np.ndarray, u: np.ndarray,
+def _inverse_derivative(phi: OrliczFunction, v: np.ndarray, u: np.ndarray,
                         top: float, live: np.ndarray) -> np.ndarray:
     """u with phi'(u) = v where ``live``, elementwise, from the start ``u``:
     Newton of log phi' against log u inside the bracket [0, top]
@@ -698,7 +655,7 @@ def _inverse_derivative(derivatives: Callable, v: np.ndarray, u: np.ndarray,
     hi = np.full_like(u, top)
     earlier, prev = None, (u, lo, hi)
     for done in range(1, AMEMIYA_INNER_STEPS + 1):
-        d1, d2 = derivatives(u)
+        d1, d2 = phi.derivative(u), phi.second_derivative(u)
         short = d1 < v
         lo = np.where(short, u, lo)
         hi = np.where(short, hi, u)
@@ -735,14 +692,21 @@ def _amemiya_dual(base: OrliczFamily, values):
     if not a.any():  # all zero: what the solve below returns, without it
         return (np.zeros(a.shape[:-1]), np.zeros(np.shape(values)),
                 np.zeros(a.shape[:-1]))
+    phi = base.phi
+    witness = np.zeros(np.shape(values))
+    if phi.linear:  # phi = c u: the norm is c l1, the dual u1 linf, u1 = 1/c
+        u1 = 1.0 / phi.derivative(np.zeros(()))
+        value = u1 * a.max(axis=-1)
+        witness[..., :a.shape[-1]] = (u1 * (a > 0.0)
+                                      * dual_witness(LpFamily(1), a))
+        return value, witness, value
     flat = a.reshape(-1, a.shape[-1])
     scale = flat.max(axis=-1, keepdims=True)
     b = flat / np.where(scale != 0.0, scale, 1.0)  # a NaN row stays NaN
-    phi = base.phi
     u1 = phi.unit_level
-    floor = phi.derivatives(np.zeros(()))[0]
+    floor = phi.derivative(np.zeros(()))
     support = np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
-    t_hi = np.full_like(scale, np.log(phi.derivatives(np.asarray(u1))[0]))
+    t_hi = np.full_like(scale, np.log(phi.derivative(np.asarray(u1))))
     t_lo = np.minimum(t_hi, -np.log(support * u1))
     t = t_hi
     u = np.full_like(b, u1)
@@ -755,12 +719,11 @@ def _amemiya_dual(base: OrliczFamily, values):
             k = np.exp(t)
             v = k * b
             live = v > floor
-            u = _inverse_derivative(phi.derivatives, v,
-                                    np.where(u > 0.0, u, u1), u1, live)
+            u = _inverse_derivative(phi, v, np.where(u > 0.0, u, u1), u1, live)
             u = np.where(live, u, 0.0)
             phi_u = phi.func(u)
             level = phi_u.sum(axis=-1, keepdims=True)
-            slope = np.where(live, v * v / phi.derivatives(u)[1],
+            slope = np.where(live, v * v / phi.second_derivative(u),
                              0.0).sum(axis=-1, keepdims=True)
             over = level >= 1.0
             t_lo = np.where(over, t_lo, t)
@@ -780,25 +743,18 @@ def _amemiya_dual(base: OrliczFamily, values):
     nrm = base.norm_array(u)
     alpha = u / np.where(nrm > 0.0, nrm, 1.0)[:, None]
     value = scale[:, 0] * (alpha * b).sum(axis=-1)
-    witness = np.zeros(np.shape(values))
     witness[..., :a.shape[-1]] = alpha.reshape(a.shape)
     rows = a.shape[:-1]
     return (value.reshape(rows), witness,
             (scale[:, 0] * upper).reshape(rows))
 
 
-def _amemiya_ready(family: SeqNormFamily) -> bool:
-    return isinstance(family, OrliczFamily) and \
-        family.phi.derivatives is not None
-
-
 def _dual_rows(base: SeqNormFamily, values, iterations: int = 150,
                step0: float = 0.25):
     """Koethe dual norms of ``values`` over ``base`` and their nonnegative
-    unit witnesses: the Amemiya solve for an Orlicz base with a compiled
-    gauge, ``_ascent_dual`` otherwise (the only one that uses
-    ``iterations`` and ``step0``)."""
-    if _amemiya_ready(base):
+    unit witnesses: the Amemiya solve for an Orlicz base, ``_ascent_dual``
+    otherwise (the only one that uses ``iterations`` and ``step0``)."""
+    if isinstance(base, OrliczFamily):
         return _amemiya_dual(base, values)[:2]
     return _ascent_dual(base, values, iterations, step0)
 
@@ -823,8 +779,8 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
     Leading axes of ``beta`` are batch axes; a row gets what it gets alone
     (bit for bit, unless it has 8 or more entries and a zero tail that the
     batch lacks).  ``method`` is "auto", "analytic" or "numeric".  For an
-    Orlicz family with a compiled gauge the numeric branch is the Amemiya
-    solve (``_amemiya_dual``), which ignores the budget and ``seed`` and
+    Orlicz family the numeric branch is the Amemiya solve
+    (``_amemiya_dual``), which ignores the budget and ``seed`` and
     converges when its bracket is at most 1e-9 wide, relative; otherwise
     ``_ascent_rows``, converged when two or more starts reach the best.
     """
@@ -843,7 +799,7 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
         raise InputError(f"unknown dual method {method!r}")
     elif restarts < 1 or iterations < 1:
         raise InputError("numeric dual needs a positive budget")
-    elif _amemiya_ready(family):
+    elif isinstance(family, OrliczFamily):
         value, witness, upper = _amemiya_dual(family, flat)
         witness = witness * np.sign(flat)
         converged = upper - value <= 1e-9 * value

@@ -1,10 +1,11 @@
 """Koethe duals of Luxemburg norms by the Amemiya solve, against the
 benchmark's numpy-only oracles and against positive-sphere ascent; and
-Luxemburg norms by Newton against the bisection they replace."""
+Luxemburg norms by Newton against a 60-step bisection."""
 
 import importlib.util
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           seq_lattice)
 from lattice_calc.cli import EXIT_OK, run
 from lattice_calc.seq_lattice import (AMEMIYA_INNER_STEPS,
-                                      AMEMIYA_OUTER_STEPS,
-                                      LUXEMBURG_BISECT_STEPS, _amemiya_dual,
+                                      AMEMIYA_OUTER_STEPS, _amemiya_dual,
                                       _ascent_dual, _linear_ascent,
                                       _structured_dual_inits,
                                       strip_trailing_zeros)
@@ -164,7 +164,8 @@ def test_all_zero_batch_skips_the_solve(monkeypatch):
     def refuse(u):
         raise AssertionError("the Newton solve ran on an all-zero batch")
 
-    monkeypatch.setattr(fam.phi, "derivatives", refuse)
+    monkeypatch.setattr(fam.phi, "derivative", refuse)
+    monkeypatch.setattr(fam.phi, "second_derivative", refuse)
     for shape in [(3,), (4, 1), (2, 4, 3)]:
         value, witness, upper = _amemiya_dual(fam, np.zeros(shape))
         assert value.shape == upper.shape == shape[:-1]
@@ -172,23 +173,64 @@ def test_all_zero_batch_skips_the_solve(monkeypatch):
         assert not (value.any() or witness.any() or upper.any())
 
 
-def test_bare_callable_gauge_keeps_the_ascent():
-    fam = OrliczFamily(OrliczFunction(lambda u: u * np.exp(u)))
-    assert fam.phi.derivatives is None
-    res = kothe_dual_norm(fam, FIXED, method="numeric", restarts=4,
-                          iterations=40)
-    assert res.value <= float(GAUGES["u*exp(u)"].amemiya_dual(FIXED)) * (
-        1.0 + 1e-12)
-    assert fam.norm(res.witness) <= 1.0 + 1e-12
+def test_bare_callable_gauge_is_refused():
+    for func in (lambda u: u * np.exp(u), lambda u: u * u):
+        with pytest.raises(InputError, match="parse_gauge.*CustomFamily"):
+            OrliczFunction(func)
+
+
+def _refuse(u):
+    raise AssertionError("phi'' was evaluated")
 
 
 def test_norm_gradient_uses_the_compiled_derivative():
     a = np.random.default_rng(2).standard_normal((20, 5))
-    exact = OrliczFamily(parse_gauge("u^2")).norm_gradient(a)
+    fam = OrliczFamily(parse_gauge("u^2"))
+    fam.phi.second_derivative = _refuse  # the gradient needs phi' alone
+    exact = fam.norm_gradient(a)
     assert np.allclose(exact, LpFamily(2).norm_gradient(a), rtol=1e-13,
                        atol=0.0)
-    bare = OrliczFamily(OrliczFunction(lambda u: u * u)).norm_gradient(a)
-    assert np.allclose(bare, exact, rtol=1e-6)
+
+
+def test_power_of_a_power_is_bitwise_the_folded_power():
+    folded, plain = (OrliczFamily(parse_gauge(g))
+                     for g in ("(u^2)^0.75", "u^1.5"))
+    for values in _luxemburg_batches(np.random.default_rng(24)):
+        assert (folded.norm_array(values).tobytes()
+                == plain.norm_array(values).tobytes())
+        assert (folded.norm_gradient(values).tobytes()
+                == plain.norm_gradient(values).tobytes())
+        for got, want in zip(_amemiya_dual(folded, values),
+                             _amemiya_dual(plain, values)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_linear_gauge_dual_through_cli_is_max_over_c():
+    vector = [0.3646, -2.2941, 0.0284, 2.2941, -0.5467]
+    report = run({"task": "dualnorm", "vector": vector, "method": "numeric",
+                  "family": {"kind": "orlicz", "phi": "2*u"}})
+    assert report["exit_status"] == EXIT_OK
+    res = report["results"]
+    assert res["converged"] is True
+    assert res["dual_norm"] == max(abs(v) for v in vector) / 2.0
+    assert float(np.dot(res["witness"], vector)) == res["dual_norm"]
+    fam = OrliczFamily(parse_gauge("2*u"))
+    assert fam.norm(res["witness"]) == 1.0
+
+
+@pytest.mark.parametrize("gauge", ["u", "2*u", "3*u"])
+def test_linear_gauge_duals_are_scaled_linf(gauge):
+    fam = OrliczFamily(parse_gauge(gauge))
+    assert fam.phi.linear
+    u1 = 1.0 / fam.phi.derivative(0.0)
+    betas = np.random.default_rng(9).standard_normal((7, 5))
+    betas[2] = 0.0
+    value, witness, upper = _amemiya_dual(fam, betas)
+    assert value.tobytes() == (u1 * np.abs(betas).max(axis=-1)).tobytes()
+    assert upper.tobytes() == value.tobytes()
+    assert np.array_equal((witness * np.abs(betas)).sum(axis=-1), value)
+    assert not witness[2].any()
+    assert np.array_equal(kothe_dual(fam).norm_array(betas), value)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +238,18 @@ def test_norm_gradient_uses_the_compiled_derivative():
 
 STRESS = CORPUS + ("u^1.05", "u^12", "u+u^2", "0.01*u^2+u*exp(u)",
                    "exp(u^2)*u^2")
+# gauges that took the bisection and the ascent while their compiled phi'
+# was 0 * inf at 0 or their phi'' vanished
+FORMER = ("u", "2*u", "(u^2)^0.75", "u^2*u^0.5", "(u^2+u^3)^0.5")
 
 
-def _fixed_inverse_derivative(derivatives, v, u, top):
+def _fixed_inverse_derivative(derivative, second_derivative, v, u, top):
     """``_inverse_derivative`` as it was before its early exit: all
     AMEMIYA_INNER_STEPS steps, on every element."""
     lo = np.zeros_like(u)
     hi = np.full_like(u, top)
     for _ in range(AMEMIYA_INNER_STEPS):
-        d1, d2 = derivatives(u)
+        d1, d2 = derivative(u), second_derivative(u)
         short = d1 < v
         lo = np.where(short, u, lo)
         hi = np.where(short, hi, u)
@@ -225,9 +270,9 @@ def _fixed_amemiya_dual(base, values):
     b = flat / np.where(scale != 0.0, scale, 1.0)
     phi = base.phi
     u1 = phi.unit_level
-    floor = phi.derivatives(np.zeros(()))[0]
+    floor = phi.derivative(np.zeros(()))
     support = np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
-    t_hi = np.full_like(scale, np.log(phi.derivatives(np.asarray(u1))[0]))
+    t_hi = np.full_like(scale, np.log(phi.derivative(np.asarray(u1))))
     t_lo = np.minimum(t_hi, -np.log(support * u1))
     t = t_hi
     u = np.full_like(b, u1)
@@ -237,12 +282,13 @@ def _fixed_amemiya_dual(base, values):
             k = np.exp(t)
             v = k * b
             live = v > floor
-            u = _fixed_inverse_derivative(phi.derivatives, v,
+            u = _fixed_inverse_derivative(phi.derivative,
+                                          phi.second_derivative, v,
                                           np.where(u > 0.0, u, u1), u1)
             u = np.where(live, u, 0.0)
             phi_u = phi.func(u)
             level = phi_u.sum(axis=-1, keepdims=True)
-            slope = np.where(live, v * v / phi.derivatives(u)[1],
+            slope = np.where(live, v * v / phi.second_derivative(u),
                              0.0).sum(axis=-1, keepdims=True)
             over = level >= 1.0
             t_lo = np.where(over, t_lo, t)
@@ -318,11 +364,13 @@ def test_one_row_solve_takes_few_inner_steps(monkeypatch):
     steps = []
     inner = seq_lattice._inverse_derivative
 
-    def counted(derivatives, *args):
+    def counted(phi, *args):
         def count(u):
             steps.append(1)
-            return derivatives(u)
-        return inner(count, *args)
+            return phi.derivative(u)
+        return inner(SimpleNamespace(derivative=count,
+                                     second_derivative=phi.second_derivative),
+                     *args)
 
     monkeypatch.setattr(seq_lattice, "_inverse_derivative", counted)
     _amemiya_dual(fam, np.array([FIXED]))
@@ -405,12 +453,14 @@ def test_linear_ascent_stall_exit_is_the_fixed_count_ascent():
 
 
 # ---------------------------------------------------------------------------
-# Luxemburg norms: Newton for compiled gauges, the bisection for the others
+# Luxemburg norms by Newton, against the bisection it replaced
+
+BISECT_STEPS = 60
 
 
 def _bisection_norms(fam, values):
     """``OrliczFamily.norm_array`` as it was before the Newton path: a fixed
-    LUXEMBURG_BISECT_STEPS halvings of [m / u1, support * m / u1]."""
+    BISECT_STEPS halvings of [m / u1, support * m / u1]."""
     a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
     m = a.max(axis=-1)
     support = np.count_nonzero(a, axis=-1)
@@ -426,7 +476,7 @@ def _bisection_norms(fam, values):
         m = m / scale
     lo = np.where(active, m / u1, 1.0)
     hi = np.where(active, np.maximum(support, 1) * m / u1, 2.0)
-    for _ in range(LUXEMBURG_BISECT_STEPS):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         level = fam.phi.func(a / mid[..., None]).sum(axis=-1)
         above = level > 1.0
@@ -451,10 +501,10 @@ def _luxemburg_batches(rng):
             yield x
 
 
-@pytest.mark.parametrize("gauge", STRESS)
+@pytest.mark.parametrize("gauge", STRESS + FORMER)
 def test_newton_luxemburg_matches_the_bisection(gauge):
     fam = OrliczFamily(parse_gauge(gauge))
-    assert fam.phi.derivatives is not None
+    fam.phi.second_derivative = _refuse  # Newton needs phi' alone
     for values in _luxemburg_batches(np.random.default_rng(21)):
         got = fam.norm_array(values)
         want = _bisection_norms(fam, values)
@@ -462,7 +512,7 @@ def test_newton_luxemburg_matches_the_bisection(gauge):
         assert np.all(np.abs(got - want) <= 1e-15 * want), gauge
 
 
-@pytest.mark.parametrize("gauge", STRESS)
+@pytest.mark.parametrize("gauge", STRESS + FORMER)
 def test_newton_luxemburg_rows_independent_of_batch(gauge):
     fam = OrliczFamily(parse_gauge(gauge))
     rng = np.random.default_rng(22)
@@ -480,6 +530,21 @@ def test_newton_luxemburg_rows_independent_of_batch(gauge):
             assert alone.tobytes() == value.tobytes() == padded.tobytes()
 
 
+@pytest.mark.parametrize("gauge", ["(u^2+u^3)^0.5", "(u^4+u^6)^0.5"])
+def test_bases_that_underflow_keep_finite_derivatives(gauge):
+    # the base underflows below about 1e-154 and its negative power in the
+    # compiled phi' and phi'' overflows; the leading term stands in there
+    fam = OrliczFamily(parse_gauge(gauge))
+    rows = np.array([[1.0, 0.5, 1e-170], [0.3, 1e-200, 0.0],
+                     [2.0, 1e-160, 0.7]])
+    got, want = fam.norm_array(rows), _bisection_norms(fam, rows)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    res = kothe_dual_norm(fam, rows)
+    clean = kothe_dual_norm(fam, np.where(rows < 1e-100, 0.0, rows))
+    assert res.converged.all()
+    assert np.allclose(res.value, clean.value, rtol=1e-15, atol=0.0)
+
+
 def test_newton_luxemburg_nan_and_zero_rows():
     for gauge in STRESS:
         fam = OrliczFamily(parse_gauge(gauge))
@@ -489,32 +554,29 @@ def test_newton_luxemburg_nan_and_zero_rows():
         assert not fam.norm_array(np.zeros((2, 3, 4))).any()
 
 
-@pytest.mark.parametrize("phi", [
-    OrliczFunction(lambda u: u * u), OrliczFunction(lambda u: u * np.exp(u)),
-    parse_gauge("u"), parse_gauge("(u^2)^0.75"),
-], ids=["bare_u2", "bare_uexp", "u", "u2_power_0.75"])
-def test_gauges_without_derivatives_keep_the_bisection(phi):
-    fam = OrliczFamily(phi)
-    assert fam.phi.derivatives is None
-    for values in _luxemburg_batches(np.random.default_rng(23)):
-        with np.errstate(over="ignore"):
-            got = fam.norm_array(values)
-            want = _bisection_norms(fam, values)
-        assert got.tobytes() == want.tobytes()
-    big = np.array([5e307, 5e307, 1e307])  # the bracket overflows
-    assert fam.norm_array(big).tobytes() == _bisection_norms(
-        fam, big).tobytes()
-
-
 def test_one_row_newton_takes_few_steps():
     fam = OrliczFamily(parse_gauge("u^2"))
     steps = []
-    derivatives = fam.phi.derivatives
+    derivative = fam.phi.derivative
 
     def counted(u):
         steps.append(1)
-        return derivatives(u)
+        return derivative(u)
 
-    fam.phi.derivatives = counted
+    fam.phi.derivative = counted
     fam.norm_array(np.array(FIXED))
     assert 0 < len(steps) <= 8
+
+
+def test_orlicz_bases_never_take_the_ascent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Orlicz base took the ascent")
+
+    monkeypatch.setattr(seq_lattice, "_ascent_rows", refuse)
+    betas = np.random.default_rng(25).standard_normal((6, 5))
+    for gauge in STRESS + FORMER:
+        fam = OrliczFamily(parse_gauge(gauge))
+        res = kothe_dual_norm(fam, betas, method="numeric")
+        assert res.converged.all(), gauge
+        assert np.array_equal(kothe_dual(fam).norm_array(betas), res.value)
+        assert np.array_equal(dual_witness(fam, betas), res.witness)

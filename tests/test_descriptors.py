@@ -1,12 +1,14 @@
 """Descriptor parsing and the gauge expression grammar."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lattice_calc import DescriptorError, family_from_descriptor, parse_gauge
-from lattice_calc.descriptors import _Parser
+from lattice_calc import (DescriptorError, InputError, family_from_descriptor,
+                          parse_gauge)
+from lattice_calc.descriptors import _compile, _derivative, _Parser
 
 
 def test_lp_descriptor_roundtrip():
@@ -123,16 +125,64 @@ def test_gauge_derivatives_match_hand_formulas():
                       2.0 * (1.0 + 2.0 * u) ** 2 + 4.0 * (u + u * u)),
     }
     for text, (d1, d2) in cases.items():
-        got1, got2 = parse_gauge(text).derivatives(u)
+        phi = parse_gauge(text)
+        got1, got2 = phi.derivative(u), phi.second_derivative(u)
         assert np.allclose(got1, d1, rtol=1e-13, atol=0.0), text
         assert np.allclose(got2, d2, rtol=1e-13, atol=0.0), text
     # at 0: phi' of u^1.5 is 0 and phi'' is +inf, without warnings
-    d1, d2 = parse_gauge("u^1.5").derivatives(0.0)
+    phi = parse_gauge("u^1.5")
+    d1, d2 = phi.derivative(0.0), phi.second_derivative(0.0)
     assert d1 == 0.0 and d2 == np.inf
 
 
 def test_gauges_without_usable_derivatives():
-    # phi'' vanishes (no inverse of phi'), or phi' is 0 * inf at 0
-    assert parse_gauge("u").derivatives is None
-    assert parse_gauge("(u^2)^0.75").derivatives is None
-    assert parse_gauge("u^2").derivatives is not None
+    # phi' is infinite at 0, or phi'' underflows to 0 at the probe grid's
+    # first point next to a nonzero phi'
+    for text in ("1e-9*u^0.5+u^2", "u+u^50"):
+        with pytest.raises(InputError, match="phi''"):
+            parse_gauge(text)
+
+
+def test_gauges_that_overflow_stay_input_errors():
+    # the leading term of these overflows while phi' is patched at 0
+    for text in ("exp(1000)*u^2*u^0.5", "(1e200*u^2)^4*u^0.5"):
+        with np.errstate(all="ignore"), pytest.raises(InputError):
+            parse_gauge(text)
+
+
+def test_power_of_a_power_folds():
+    assert _Parser("(u^2)^0.75").parse() == _Parser("u^1.5").parse()
+    assert _Parser("(u^2)^0.5").parse() == ("pow", ("var",), 1.0)
+    u = np.concatenate([[0.0], np.geomspace(1e-9, 6.0, 97)])
+    assert np.array_equal(parse_gauge("(u^2)^0.5")(u), u)
+    assert parse_gauge("(u^2)^0.5").linear and parse_gauge("u").linear
+    assert not parse_gauge("(u^2)^0.75").linear
+
+
+def test_phi_prime_at_zero_from_the_leading_term():
+    # u^2*u^0.5 and (u^2+u^3)^0.5 compile to phi' = 0 * inf = NaN at 0
+    for text, at_zero in (("(u^2)^0.75", 0.0), ("u^2*u^0.5", 0.0),
+                          ("(u^2+u^3)^0.5", 1.0), ("u+u^2", 1.0),
+                          ("0.5*u*exp(u)", 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_gauge(text).derivative(0.0) == at_zero, text
+    with np.errstate(all="ignore"):
+        compiled = _compile(_derivative(_Parser("u^2*u^0.5").parse()))
+        assert np.isnan(compiled(np.zeros(1))[0])
+
+
+def test_finite_phi_prime_is_the_compiled_one():
+    u = np.concatenate([[0.0], np.geomspace(1e-9, 6.0, 97)])
+    for text in ("u^2", "u^1.5", "u*exp(u)", "u^2+u^4", "exp(u^2)*u^2",
+                 "u+u^2", "u", "2*u", "u^2*u^0.5", "(u^2+u^3)^0.5"):
+        first = _derivative(_Parser(text).parse())
+        phi = parse_gauge(text)
+        with np.errstate(all="ignore"):
+            d1, d2 = _compile(first)(u), _compile(_derivative(first))(u)
+        for got, want in ((phi.derivative(u), d1),
+                          (phi.second_derivative(u), d2)):
+            if np.isfinite(d1[0]):
+                assert got.tobytes() == want.tobytes(), text
+            finite = np.isfinite(want)
+            assert got[finite].tobytes() == want[finite].tobytes(), text

@@ -244,12 +244,16 @@ def test_weight_coverage_enforced():
 
 
 def test_invalid_gauges_rejected():
-    with pytest.raises(InputError):
-        OrliczFunction(lambda u: u + 1.0)  # phi(0) != 0
-    with pytest.raises(InputError):
-        OrliczFunction(lambda u: np.sqrt(u))  # concave
-    with pytest.raises(InputError):
-        OrliczFunction(lambda u: 0.0 * u)  # not increasing
+    # derivatives are given, so each gauge reaches the checks of phi itself
+    given = {"derivative": np.ones_like, "second_derivative": np.ones_like}
+    with pytest.raises(InputError, match="vanish at 0"):
+        OrliczFunction(lambda u: u + 1.0, **given)  # phi(0) != 0
+    with pytest.raises(InputError, match="convexity"):
+        OrliczFunction(lambda u: np.sqrt(u), **given)  # concave
+    with pytest.raises(InputError, match="increasing"):
+        OrliczFunction(lambda u: 0.0 * u, **given)  # not increasing
+    with pytest.raises(InputError, match="parse_gauge"):
+        OrliczFunction(lambda u: u * u)  # no derivatives
 
 
 def test_nonfinite_vector_rejected():
@@ -272,8 +276,9 @@ def test_norm_array_keeps_nan_rows():
 
 @pytest.mark.parametrize("family", [
     CustomFamily(lambda v: float(np.abs(v).max() + 0.5 * np.abs(v).sum())),
-    OrliczFamily(OrliczFunction(lambda u: u * u)),
-], ids=["custom", "bare_callable_gauge"])
+    CustomFamily(lambda v, orl=OrliczFamily(parse_gauge("u^2")):
+                 float(orl.norm_array(v))),
+], ids=["custom", "custom_luxemburg"])
 def test_ascent_dual_keeps_nan_rows(family):
     # the positive-sphere ascent path gave 0.0 for a NaN row
     dual = kothe_dual(family)
