@@ -46,6 +46,8 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
         g = denominator(z)
         ok = (g > 0.0) & np.isfinite(g)
         z = z / np.where(ok, g, 1.0)[:, None]
+        if ok.all():
+            return z, numerator(z)
         val = np.full(len(z), -np.inf)
         if ok.any():
             val[ok] = numerator(z[ok])

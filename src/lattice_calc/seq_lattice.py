@@ -193,12 +193,13 @@ class LpFamily(SeqNormFamily):
             return a.sum(axis=-1)
         m = a.max(axis=-1, keepdims=True)
         # zero rows are found by equality, so a row with a NaN stays NaN
-        scale = np.where(m == 0.0, 1.0, m)
+        zero = m == 0.0
+        scale = np.where(zero, 1.0, m)
         # the root is taken on an array even for one vector: numpy's scalar
         # pow can differ in the last bit from its array pow on a batch row
         body = ((a / scale) ** self.p).sum(axis=-1, keepdims=True) ** (
             1.0 / self.p)
-        return np.where(m == 0.0, 0.0, scale * body)[..., 0]
+        return np.where(zero, 0.0, scale * body)[..., 0]
 
     def norm_gradient(self, values, norms=None):
         a = np.asarray(values, dtype=float)
@@ -293,7 +294,9 @@ class OrliczFunction:
         self.expression = expression
         self.derivative = derivative
         self.second_derivative = second_derivative
-        self._validate()
+        # a malformed gauge ends in one InputError, not in numpy warnings
+        with np.errstate(all="ignore"):
+            self._validate()
         self.unit_level = self._solve_unit_level()
 
     def __call__(self, u):
@@ -364,6 +367,9 @@ class OrliczFamily(SeqNormFamily):
     kind = "orlicz"
 
     def __init__(self, phi: OrliczFunction, label: str | None = None):
+        if not isinstance(phi, OrliczFunction):
+            raise InputError("an Orlicz family needs an OrliczFunction: build "
+                             "it with parse_gauge, or use CustomFamily")
         self.phi = phi
         if label is None:
             label = f"orlicz[{phi.expression}]" if phi.expression else "orlicz"
@@ -817,14 +823,27 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
 
 def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
     """The support map of the unit ball: a unit vector alpha with
-    sum(alpha * beta) equal to the dual norm of beta (e_0 for beta = 0).
+    sum(alpha * beta) equal to the dual norm of beta; a zero row gets
+    e_0 / ||e_0||, which is e_0 itself for lp.
 
-    Leading axes are batch axes.  Closed form for lp-type families, the
-    norm gradient of the base for a numeric dual (the support map of a dual
-    ball), ``_dual_rows`` otherwise.  Signed, so the plain pairing attains.
+    Leading axes are batch axes.  Closed form for lp-type families (for
+    1 < p < inf, the normalized profile (|b| / max|b|)^(q-1), which peaks
+    at 1), the norm gradient of the base for a numeric dual (the support
+    map of a dual ball), ``_dual_rows`` otherwise.  Signed, so the plain
+    pairing attains.
     """
     b = np.asarray(beta, dtype=float)
     mags = np.abs(b)
+    if isinstance(family, LpFamily) and 1.0 < family.p < math.inf:
+        top = mags.max(axis=-1, keepdims=True)
+        prof = (mags / np.where(top > 0.0, top, 1.0)) ** (
+            conjugate_exponent(family.p) - 1.0)
+        # prof peaks at exactly 1, so its lp norm needs no rescale
+        nrm = (strip_trailing_zeros(prof) ** family.p).sum(
+            axis=-1, keepdims=True) ** (1.0 / family.p)
+        alpha = prof / np.where(nrm > 0.0, nrm, 1.0) * np.sign(b)
+        alpha[top[..., 0] == 0.0, 0] = 1.0  # a NaN row is not a zero row
+        return alpha
     if isinstance(family, NumericDualFamily):
         alpha = family.base.norm_gradient(b)
     elif isinstance(family, WeightedLpFamily):
@@ -832,16 +851,10 @@ def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
         alpha = dual_witness(family._core, mags / s) / s * np.sign(b)
     elif isinstance(family, LpFamily):
         if family.p == 1.0:
-            alpha = np.zeros_like(b)
-            np.put_along_axis(alpha, mags.argmax(axis=-1)[..., None], 1.0, -1)
-        elif family.p == math.inf:
-            alpha = np.ones_like(b)
+            alpha = (mags.argmax(axis=-1)[..., None]
+                     == np.arange(b.shape[-1])) * 1.0
         else:
-            top = mags.max(axis=-1, keepdims=True)
-            prof = (mags / np.where(top > 0.0, top, 1.0)) ** (
-                conjugate_exponent(family.p) - 1.0)
-            nrm = family.norm_array(prof)[..., None]
-            alpha = prof / np.where(nrm > 0.0, nrm, 1.0)
+            alpha = np.ones_like(b)
         alpha = alpha * np.sign(b)
     else:
         alpha = _dual_rows(family, b)[1] * np.sign(b)

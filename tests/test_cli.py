@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,20 @@ def test_malformed_field_exits_2_with_one_line(config, tmp_path):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("phi", ["exp(1000)*u", "(1e200*u)^4"])
+def test_overflowing_gauge_exits_2_with_one_line(phi, tmp_path):
+    # numpy's overflow warnings from the gauge once came before the error
+    config = {"task": "norm", "family": {"kind": "orlicz", "phi": phi},
+              "vector": [1, 2]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, err = _main_quietly(config, tmp_path)
+    assert status == EXIT_INPUT_ERROR
+    assert [str(w.message) for w in caught] == []
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 def _field_paths(node, prefix=()):

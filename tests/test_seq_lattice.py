@@ -9,7 +9,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
-                          OrliczFunction, WeightedLpFamily, dual_witness,
+                          OrliczFunction, WeightedLpFamily,
+                          conjugate_exponent, dual_witness,
                           holder_check, kothe_dual, kothe_dual_norm, lattice,
                           parse_gauge, strong_mixed_norm)
 
@@ -256,6 +257,12 @@ def test_invalid_gauges_rejected():
         OrliczFunction(lambda u: u * u)  # no derivatives
 
 
+def test_orlicz_family_refuses_a_non_gauge():
+    for phi in (lambda u: u * u, "u^2", None):
+        with pytest.raises(InputError, match="parse_gauge.*CustomFamily"):
+            OrliczFamily(phi)
+
+
 def test_nonfinite_vector_rejected():
     with pytest.raises(InputError):
         LpFamily(2).norm([1.0, float("nan")])
@@ -355,3 +362,87 @@ def test_numeric_batch_agrees_with_closed_forms():
     ref = kothe_dual_norm(fam, _BATCH, method="analytic")
     assert np.allclose(res.value, ref.value, rtol=1e-6, atol=0.0)
     assert res.converged.all()
+
+
+# ---------------------------------------------------------------------------
+# lp support maps: bit for bit the formula that normalized the profile with
+# norm_array, scattered the l1 one-hot and took 1 / ||e_0|| for zero rows
+
+def _reference_witness(family, beta):
+    b = np.asarray(beta, dtype=float)
+    mags = np.abs(b)
+    if isinstance(family, WeightedLpFamily):
+        s = family._scaling[:b.shape[-1]]
+        alpha = _reference_witness(family._core, mags / s) / s * np.sign(b)
+    else:
+        if family.p == 1.0:
+            alpha = np.zeros_like(b)
+            np.put_along_axis(alpha, mags.argmax(axis=-1)[..., None], 1.0, -1)
+        elif family.p == math.inf:
+            alpha = np.ones_like(b)
+        else:
+            top = mags.max(axis=-1, keepdims=True)
+            prof = (mags / np.where(top > 0.0, top, 1.0)) ** (
+                conjugate_exponent(family.p) - 1.0)
+            nrm = family.norm_array(prof)[..., None]
+            alpha = prof / np.where(nrm > 0.0, nrm, 1.0)
+        alpha = alpha * np.sign(b)
+    zero = ~b.any(axis=-1)
+    if np.any(zero):
+        alpha[zero, 0] = 1.0 / family.unit_vector_norm(0, b.shape[-1])
+    return alpha
+
+
+_WITNESS_P = (1.0, 1.25, 1.5, 2.0, 3.0, 7.0, math.inf)
+_WITNESS_FAMILIES = [LpFamily(p) for p in _WITNESS_P] + [
+    WeightedLpFamily(p, np.random.default_rng(43).uniform(0.25, 4.0, 17))
+    for p in _WITNESS_P]
+
+
+def _assert_witness_bits(family, betas):
+    got = dual_witness(family, betas)
+    ref = _reference_witness(family, betas)
+    assert got.shape == ref.shape == np.shape(betas)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64)), family
+
+
+def _witness_batches(rng):
+    """(2, 6, n) batches: a zero row, a NaN row, zero tails that the batch
+    lacks, and in the second sheet twelve decades within rows and row
+    maxima of 1e-300 and 1e300."""
+    for n in (1, 3, 8, 9, 17):
+        b = rng.standard_normal((2, 6, n))
+        b[1] *= 10.0 ** rng.uniform(-6, 6, (6, n))
+        b[0, 0] = 0.0
+        b[0, 1, rng.integers(n)] = np.nan
+        b[:, 2, n // 2 + 1:] = 0.0
+        b[0, 3, 1:] = 0.0
+        for row, peak in ((b[1, 0], 1e-300), (b[1, 1], 1e300)):
+            row *= peak / np.abs(row).max()
+        yield b
+
+
+@pytest.mark.parametrize("family", _WITNESS_FAMILIES,
+                         ids=[f.label for f in _WITNESS_FAMILIES])
+def test_lp_support_maps_keep_their_bits(family):
+    for b in _witness_batches(np.random.default_rng(47)):
+        _assert_witness_bits(family, b)
+        for sheet in b:
+            _assert_witness_bits(family, sheet)
+            for row in sheet:
+                _assert_witness_bits(family, row)
+
+
+@seed(12)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_WITNESS_FAMILIES), st.integers(1, 4),
+       st.integers(1, 17), st.floats(0.0, 12.0), st.integers(-300, 300),
+       st.integers(0, 2**32 - 1))
+def test_lp_support_maps_keep_their_bits_property(family, rows, n, decades,
+                                                  exponent, draw):
+    rng = np.random.default_rng(draw)
+    spread = 10.0 ** rng.uniform(-decades / 2, decades / 2, (rows, n))
+    betas = rng.standard_normal((rows, n)) * spread * 10.0 ** exponent
+    betas[rng.random((rows, n)) < 0.2] = 0.0
+    betas[rng.random(rows) < 0.5, n // 2:] = 0.0
+    _assert_witness_bits(family, betas)
