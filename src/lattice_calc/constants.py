@@ -24,7 +24,7 @@ from .mixed_norms import (as_rows, pointwise_mixed_norm,
                           strong_mixed_norm_batch)
 from .operators import OperatorInstance, apply_n, transpose
 from .optimize import AscentBudget, maximize_ratio
-from .seeding import spawn_rngs
+from .seeding import substream_normals
 from .seq_lattice import SeqNormFamily, dual_witness, kothe_dual
 
 _FLAVORS = ("convexity", "concavity")
@@ -165,13 +165,13 @@ def _cyclic_tuple(n: int, din: int) -> np.ndarray:
     return cyc
 
 
-def _structured_tuples(n: int, din: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Start tuples: cycled canonical rows, a rank-one tuple, a single spike."""
+def _structured_tuples(n: int, din: int, normals: np.ndarray) -> list[np.ndarray]:
+    """Start tuples: cycled canonical rows, a rank-one tuple along the first
+    ``din`` of ``normals``, a single spike along the next ``din``."""
     starts = [_cyclic_tuple(n, din)]
-    direction = rng.standard_normal(din)
-    starts.append(np.tile(direction, (n, 1)))
+    starts.append(np.tile(normals[:din], (n, 1)))
     spike = np.zeros((n, din))
-    spike[0] = rng.standard_normal(din)
+    spike[0] = normals[din:2 * din]
     starts.append(spike)
     return starts
 
@@ -193,14 +193,14 @@ def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
     family.check_length(n_max)
     din = op.in_dim
     bounds: list[LevelBound] = []
-    level_rngs = spawn_rngs(seed, n_max)
+    level_normals = substream_normals(seed, range(n_max), 2 * din)
     for n in range(1, n_max + 1):
         numer, denom = _ratio_callables(op, family, flavor, n)
         inits = []
         if bounds:
             prev = bounds[-1]
             inits.append(np.vstack([prev.witness, np.zeros((1, din))]))
-        inits.extend(_structured_tuples(n, din, level_rngs[n - 1]))
+        inits.extend(_structured_tuples(n, din, level_normals[n - 1]))
         result = maximize_ratio(numer, denom, n * din, seed=seed + 7919 * n,
                                 budget=budget, inits=inits,
                                 step=_power_step(op, family, flavor, n))

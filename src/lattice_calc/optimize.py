@@ -3,17 +3,21 @@
 The caller's step maps z to a maximizer of the linearization of f at z over
 the unit ball of g, built from support maps (at n = 1, Boyd's power method
 for ||T||_{p->q}).  A restart takes a step only while its ratio strictly
-rises.  Restarts use substreams of one seed and advance in lock step; the
-callables act row by row, so restarts are a prefix of any larger budget.
+rises.  Restart r, unless an init fills it, starts from the first normals
+of substream r of the seed, all drawn by one ``substream_normals`` call; a
+degenerate start (a zero tuple, say) is redrawn from the next normals of
+its own substream.  Restarts advance in lock step; the callables act row
+by row, so restarts are a prefix of any larger budget.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .seeding import spawn_rngs
+from .seeding import substream_normals
 
 
 @dataclass(frozen=True)
@@ -24,8 +28,12 @@ class AscentBudget:
     step0: float = 0.1
 
     def validate(self):
-        if self.restarts < 1 or self.iterations < 1 or not self.step0 > 0:
-            raise InputError(f"budget must be positive, got {self}")
+        """Counts are integers (numpy's too, but not bool) of at least 1."""
+        counts_ok = all(isinstance(c, Integral) and not isinstance(c, bool)
+                        and c >= 1 for c in (self.restarts, self.iterations))
+        if not counts_ok or not self.step0 > 0:
+            raise InputError("budget needs integer restarts and iterations "
+                             f"of at least 1 and a positive step0, got {self}")
 
 
 @dataclass
@@ -55,19 +63,24 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
 
     budget = budget or AscentBudget()
     budget.validate()
-    rngs = spawn_rngs(seed, budget.restarts)
     starts = [np.asarray(z, dtype=float).ravel() for z in inits]
     if any(z.shape != (dim,) for z in starts):
         raise InputError(f"every init must have size {dim}")
-    starts = starts[:budget.restarts] + [
-        rngs[r].standard_normal(dim) for r in range(len(starts), len(rngs))]
-    z, val = on_sphere(np.array(starts))
+    k = min(len(starts), budget.restarts)
+    z, val = on_sphere(np.concatenate([
+        np.reshape(starts[:k], (k, dim)),
+        substream_normals(seed, range(k, budget.restarts), dim)]))
+    drawn = np.zeros(budget.restarts, dtype=int)  # blocks of dim per stream
+    drawn[k:] = 1
     for _ in range(8):  # redraw degenerate starts, such as a zero tuple
         bad = np.flatnonzero(val == -np.inf)
         if not bad.size:
             break
-        z[bad], val[bad] = on_sphere(np.array(
-            [rngs[r].standard_normal(dim) for r in bad]))
+        block = drawn[bad]
+        fresh = substream_normals(seed, bad, (block.max() + 1) * dim)
+        z[bad], val[bad] = on_sphere(
+            fresh.reshape(len(bad), -1, dim)[np.arange(len(bad)), block])
+        drawn[bad] += 1
     live = np.flatnonzero(val > -np.inf)
     for _ in range(budget.iterations):
         if not live.size:

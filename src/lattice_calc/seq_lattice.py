@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DescriptorError, DimensionMismatchError, InputError
-from .seeding import spawn_rngs
+from .seeding import substream_normals
 
 # Newton step ceilings of the Luxemburg norm and of the Amemiya dual solve
 # (outer: the level k; inner: phi'(u) = k|b_i| at each outer step).  Each
@@ -573,11 +573,13 @@ def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
 class NumericDualFamily(SeqNormFamily):
     """Koethe dual evaluated numerically, wrapped as a norm family.
 
-    An Orlicz base goes to the Amemiya solve
-    (``_amemiya_dual``); any other base to positive-sphere ascent from
-    start points that are deterministic functions of the scale-normalized
-    input.  Neither depends on batching, so the family is usable inside
-    sweeps.  Values are lower bounds attained by a witness: within about
+    An Orlicz base goes to the Amemiya solve (``_amemiya_dual``), where a
+    row gets what it gets alone; any other base to positive-sphere ascent
+    from start points that are deterministic functions of the
+    scale-normalized input.  Ascent rows do not depend on batching either,
+    with one exception: the structured starts take the batch's length, so
+    a row with a zero tail that its batch lacks can differ from the row
+    alone.  Values are lower bounds attained by a witness: within about
     1e-15 relative of the dual norm for the Amemiya solve, and tight to
     optimizer precision, roughly 1e-9 relative on smooth bases, for ascent.
     ``iterations`` and ``step0`` apply to the ascent only.
@@ -603,8 +605,9 @@ def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
                  step0: float, restarts: int = 0, seed: int = 0):
     """Koethe dual norms of the nonnegative rows ``mags`` (k, n) over
     ``base`` by positive-sphere ascent of each max-scaled row from
-    ``_structured_dual_inits``, plus seeded starts, shared by all rows, up
-    to ``restarts`` starts in all.  Returns the values, unit witnesses and
+    ``_structured_dual_inits``, plus seeded starts shared by all rows (the
+    absolute first normals of substreams 0, 1, ... of ``seed``), up to
+    ``restarts`` starts in all.  Returns the values, unit witnesses and
     per row the number of starts within 1e-6 of the best (zero rows: 0)."""
     k, n = mags.shape
     scale = mags.max(axis=-1)
@@ -614,9 +617,8 @@ def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
         normed = mags[active] / scale[active, None]
         iterated, static = _structured_dual_inits(normed)
         extra = max(0, restarts - len(iterated) - len(static))
-        for rng in spawn_rngs(seed, extra):
-            start = np.abs(rng.standard_normal((1, n)))
-            iterated.append(np.repeat(start, len(normed), axis=0))
+        for start in np.abs(substream_normals(seed, range(extra), n)):
+            iterated.append(np.repeat(start[None], len(normed), axis=0))
         vals, witness[active], finals = _linear_ascent(
             base, normed, iterated, iterations, step0, static=static)
         out[active] = vals * scale[active]

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import lattice_calc.operators as operators
-from lattice_calc import (AscentBudget, LpFamily, OperatorInstance,
-                          concavity_ratio, estimate_constant, lattice,
+from lattice_calc import (AscentBudget, InputError, LpFamily,
+                          OperatorInstance, concavity_ratio,
+                          estimate_constant, kothe_dual_norm, lattice,
                           maximize_ratio, operator_norm)
 from lattice_calc.constants import (_cyclic_tuple, _power_step,
                                     _ratio_callables, _structured_tuples)
@@ -117,7 +118,7 @@ def test_operator_norm_matches_sequential(p_in, p_out, seed):
 def test_ratio_callables_match_sequential(flavor, n, p_in, p_out, p_fam):
     op = _operator(7, p_in, p_out)
     numer, denom = _ratio_callables(op, LpFamily(p_fam), flavor, n)
-    inits = _structured_tuples(n, 3, np.random.default_rng(n))
+    inits = _structured_tuples(n, 3, np.random.default_rng(n).standard_normal(6))
     _assert_identical(numer, denom, 3 * n, seed=11 * n,
                       budget=AscentBudget(12, 200, 0.1), inits=inits,
                       step=_power_step(op, LpFamily(p_fam), flavor, n))
@@ -137,6 +138,77 @@ def test_zero_init_resamples_like_sequential():
     kw["inits"] = [np.zeros(3), np.zeros(3), np.eye(3)[1]]
     got = _assert_identical(*args, **kw)
     assert np.isfinite(got.restart_values).all()
+
+
+def test_twice_degenerate_starts_redraw_like_sequential():
+    # restarts 0 and 1 start at zero tuples, and restart 1's first redraw
+    # and restart 4's seeded start are refused as well, so restart 1 takes
+    # the second block of its stream and restart 4 its second block
+    (numer, base, dim), kw = _norm_call(_operator(12, 2.0, 1.5), seed=4,
+                                        budget=AscentBudget(6, 100, 0.1))
+    rngs = spawn_rngs(4, 6)
+    refused = np.array([rngs[1].standard_normal(dim),
+                        rngs[4].standard_normal(dim)])
+    seen = []
+
+    def denom(z):
+        hit = (z[:, None, :] == refused).all(axis=-1).any(axis=-1)
+        seen.append(int(hit.sum()))
+        return np.where(hit, 0.0, base(z))
+
+    kw["inits"] = [np.zeros(dim), np.zeros(dim), np.eye(dim)[2]]
+    got = _assert_identical(numer, denom, dim, **kw)
+    assert np.isfinite(got.restart_values).all()
+    assert sum(seen) == 4  # each refused row, once per engine
+
+
+def test_seeded_starts_build_no_generators(monkeypatch):
+    calls = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            calls.append(("spawn", n_children))
+            return super().spawn(n_children)
+
+    def counting_default_rng(*args, **kwargs):
+        calls.append(("default_rng", args))
+        return default_rng(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    op = _operator(13, 1.5, 3.0)
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    operator_norm(op, seed=2)
+    numer, denom = _ratio_callables(op, LpFamily(2.0), "convexity", 2)
+    maximize_ratio(numer, denom, 6, seed=3, budget=AscentBudget(8, 50, 0.1),
+                   step=_power_step(op, LpFamily(2.0), "convexity", 2))
+    estimate_constant(op, LpFamily(2.0), "concavity", 3, seed=5)
+    beta = [[0.3, -1.2, 0.0, 2.5], [1.0, 0.5, -0.25, 0.125]]
+    kothe_dual_norm(LpFamily(1.5), beta, method="numeric", restarts=40)
+    assert calls == []
+    spawn_rngs(0, 2)  # the counters see the generators spawn_rngs builds
+    assert [name for name, _ in calls] == ["spawn"] + ["default_rng"] * 2
+
+
+@pytest.mark.parametrize("budget", [
+    AscentBudget(2.5, 10, 0.1), AscentBudget(4, 10.5, 0.1),
+    AscentBudget(4, math.inf, 0.1), AscentBudget(True, 10, 0.1),
+    AscentBudget(4, np.True_, 0.1), AscentBudget(0, 10, 0.1),
+    AscentBudget(4, -1, 0.1), AscentBudget(4, 10, 0.0),
+])
+def test_budget_refuses_counts_that_are_not_positive_integers(budget):
+    with pytest.raises(InputError, match="integer restarts and iterations"):
+        budget.validate()
+    with pytest.raises(InputError):
+        operator_norm(_operator(0, 2.0, 2.0), budget=budget)
+
+
+def test_budget_takes_numpy_integer_counts():
+    op = _operator(14, 1.5, 2.0)
+    plain = operator_norm(op, AscentBudget(5, 40, 0.1), seed=1)
+    numpy_ints = operator_norm(op, AscentBudget(np.int64(5), np.int32(40),
+                                                0.1), seed=1)
+    assert _bits(numpy_ints.restart_values) == _bits(plain.restart_values)
 
 
 def test_infinite_numerator_stops_like_sequential():

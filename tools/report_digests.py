@@ -9,7 +9,12 @@ canonical JSON (sorted keys, floats that read back exactly):
 - every ``duality_lp`` and ``orlicz_dual`` CLI report at bench seeds 1-3,
   and the ``orlicz_dual`` sweeps at the same seeds (15 arrays);
 - ``verify`` at default counts, seeds 0 and 42;
-- ``verify`` at the ``verify_cli`` bench counts, bench seeds 1-3 and 44.
+- ``verify`` at the ``verify_cli`` bench counts, bench seeds 1-3 and 44;
+- the seeded starts outside the bench: ``operator_norm`` with a zero extra
+  start, which is redrawn, at two seeds; ``kothe_dual_norm`` of l1.5 by
+  ascent with 40 starts, a vector and a batch; a CLI ``constant`` task on
+  a random operator with ``n_max`` 6; a CLI ``duality`` task at seed
+  2^128 + 5.
 
 The operations come from bench/workloads.py, which is imported and never
 changed.  ``compare`` prints one line per output that differs, with the
@@ -72,6 +77,44 @@ def outputs():
         work = wl.VerifyCli(seed)
         work.build(lc)
         yield (f"verify_cli/seed={seed}", lambda op=work.op: op.run(lc)[0])
+    yield from _seeded_starts(lc)
+
+
+def _seeded_starts(lc):
+    """Outputs of the seeded starts the bench rounds do not reach."""
+    import numpy as np
+
+    def lp(p):
+        return {"kind": "lp", "p": p}
+
+    mat = np.random.default_rng(2024).standard_normal((3, 4))
+    op = lc.OperatorInstance(mat, lc.lattice(4, lc.LpFamily(1.5)),
+                             lc.lattice(3, lc.LpFamily(3.0)))
+    for seed in (0, 5):
+        yield (f"seeded/operator_norm_zero_start/seed={seed}",
+               lambda seed=seed: _plain(lc.operator_norm(
+                   op, seed=seed, extra_inits=[np.zeros(4)])))
+    beta = np.random.default_rng(2025).standard_normal((3, 6))
+    for name, b in (("vector", beta[0]), ("batch", beta)):
+        yield (f"seeded/kothe_dual_norm_l1.5_numeric/{name}",
+               lambda b=b: _plain(lc.kothe_dual_norm(
+                   lc.LpFamily(1.5), b, method="numeric", restarts=40)))
+    random_op = {"random": {"rows": 4, "cols": 4, "seed": 7},
+                 "domain": lp(2.0), "codomain": lp(1.0)}
+    yield ("seeded/cli_constant_random_n_max=6",
+           lambda: lc.cli.run({"task": "constant", "operator": random_op,
+                               "family": lp(1.5), "flavor": "convexity",
+                               "n_max": 6, "seed": 3}))
+    yield ("seeded/cli_duality_seed=2^128+5",
+           lambda: lc.cli.run({"task": "duality", "operator": random_op,
+                               "family": lp(2.0), "n": 2,
+                               "seed": 2 ** 128 + 5}))
+
+
+def _plain(result):
+    """The fields of a result object as JSON data."""
+    return {k: (v.tolist() if hasattr(v, "tolist") else v)
+            for k, v in sorted(vars(result).items())}
 
 
 def write(path, dump: dict) -> None:
