@@ -352,16 +352,15 @@ class FunctionalNormResult:
 
 
 def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
-                    flavor: str = "strong",
-                    budget: AscentBudget | None = None,
-                    seed: int = 0) -> FunctionalNormResult:
+                    flavor: str = "strong") -> FunctionalNormResult:
     """Norm of x -> sum_j <x_j, s_j> on the chosen mixed-norm unit ball.
 
     ``flavor`` picks the ball: "strong" for the row-norm mixed norm,
     "pointwise" for the functional-calculus one (lattice required).  The
-    numerator is linear, so the power step maps every start to the support
-    map of the ball at s; the value is a lower bound with a convergence
-    flag, exact for lp-type families.
+    functional is linear, so its norm is its value at the support map of
+    the ball at s, rescaled onto the unit sphere: a lower bound attained by
+    that witness, exact for lp-type families.  Nothing iterates, so
+    ``converged`` is true.
     """
     s = as_rows(functionals, space.dim)
     n = s.shape[0]
@@ -375,18 +374,10 @@ def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
     else:
         raise InputError(f"unknown flavor {flavor!r}")
 
-    def numer(z):
-        return np.abs((z.reshape(-1, n, space.dim) * s).sum(axis=(-1, -2)))
-
-    def denom(z):
-        return norm_batch(space, family, z.reshape(-1, n, space.dim))
-
-    best = support(space.family, family, s).ravel()
-    result = maximize_ratio(numer, denom, n * space.dim, seed=seed,
-                            budget=budget or AscentBudget(),
-                            step=lambda z: np.broadcast_to(best, z.shape))
-    return FunctionalNormResult(result.value, result.argmax.reshape(n, space.dim),
-                                result.converged)
+    best = support(space.family, family, s)
+    witness = best / norm_batch(space, family, best[None])[0]
+    value = abs(float((witness * s).sum()))
+    return FunctionalNormResult(value, witness, True)
 
 
 @dataclass

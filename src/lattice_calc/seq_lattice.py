@@ -17,15 +17,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DescriptorError, DimensionMismatchError, InputError
+from .optimize import AscentBudget
 from .seeding import substream_normals
 
-# Newton step ceilings of the Luxemburg norm and of the Amemiya dual solve
-# (outer: the level k; inner: phi'(u) = k|b_i| at each outer step).  Each
-# loop ends early only once its state repeats, which gives the fixed-count
-# result bit for bit, so a result does not depend on how calls are batched.
-LUXEMBURG_NEWTON_STEPS = 16
-AMEMIYA_OUTER_STEPS = 16
-AMEMIYA_INNER_STEPS = 16
+# Step ceiling of every bracketed Newton solve (``_bracketed_newton``): the
+# Luxemburg norm, and the Amemiya dual's level k and its phi'(u) = k|b_i|.
+NEWTON_STEPS = 16
 
 _GAUGE_GRID_MAX = 8.0
 _CONVEXITY_PAIRS = 1000
@@ -132,7 +129,11 @@ class SeqNormFamily:
         ascent routines need.  ``norms`` may carry precomputed norms of the
         rows to spare closed forms a recomputation.
         """
-        return _fd_norm_gradient(self, values)
+        a = np.asarray(values, dtype=float)
+        h = 1e-6 * np.eye(a.shape[-1])
+        plus = self.norm_array(a[..., None, :] + h)
+        minus = self.norm_array(a[..., None, :] - h)
+        return (plus - minus) / 2e-6
 
     def max_length(self) -> Optional[int]:
         """Largest supported vector length, or None when unbounded."""
@@ -157,16 +158,6 @@ class SeqNormFamily:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
-
-
-def _fd_norm_gradient(family: SeqNormFamily, values: np.ndarray,
-                      h: float = 1e-6) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    n = a.shape[-1]
-    eye = np.eye(n)
-    plus = family.norm_array(a[..., None, :] + h * eye)
-    minus = family.norm_array(a[..., None, :] - h * eye)
-    return (plus - minus) / (2.0 * h)
 
 
 class LpFamily(SeqNormFamily):
@@ -357,11 +348,10 @@ class OrliczFamily(SeqNormFamily):
     Each row is scaled by its max, to b.  The map N -> S = sum_i phi(b_i/N)
     is nonincreasing, so the bracket [1 / u1, support / u1] with
     u1 = phi^{-1}(1) always contains the norm N of b.  Newton of log S
-    against log N runs in that bracket, bisecting whenever a step leaves
-    it, at most LUXEMBURG_NEWTON_STEPS steps, ending early only once the
-    state repeats; for u^p and c u the first step is exact.  Each row is
-    solved on its own, and appending zeros changes neither the bracket nor
-    any iterate, so padding consistency is exact.
+    against log N runs in that bracket (``_bracketed_newton``); for u^p and
+    c u the first step is exact.  Each row is solved on its own, and
+    appending zeros changes neither the bracket nor any iterate, so padding
+    consistency is exact.
     """
 
     kind = "orlicz"
@@ -384,31 +374,19 @@ class OrliczFamily(SeqNormFamily):
         active = m != 0.0  # a row with a NaN stays NaN
         b = flat / np.where(active, m, 1.0)
         f, derivative = self.phi.func, self.phi.derivative
+
+        def evaluate(state):  # the root lies above N where S(N) > 1
+            x = state[0]
+            u = b / x
+            level = f(u).sum(axis=-1, keepdims=True)
+            slope = (u * derivative(u)).sum(axis=-1, keepdims=True)
+            return level > 1.0, x * np.exp(level * np.log(level) / slope), ()
+
         lo = np.full_like(m, 1.0 / self.phi.unit_level)
         hi = lo * np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
-        x = lo
-        # ends early as the Amemiya solve does: the state (x, lo, hi) of a
-        # row cycles with period 1 or 2 once it equals its value two steps
-        # back, and the parity of the steps left picks the 16-step result
-        earlier, prev = None, (x, lo, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                          under="ignore"):
-            for done in range(1, LUXEMBURG_NEWTON_STEPS + 1):
-                u = b / x
-                level = f(u).sum(axis=-1, keepdims=True)
-                slope = (u * derivative(u)).sum(axis=-1, keepdims=True)
-                over = level > 1.0
-                lo = np.where(over, x, lo)
-                hi = np.where(over, hi, x)
-                step = x * np.exp(level * np.log(level) / slope)
-                x = np.where((step >= lo) & (step <= hi), step,
-                             0.5 * (lo + hi))
-                state = (x, lo, hi)
-                if earlier is not None and _repeats(state, earlier):
-                    if (LUXEMBURG_NEWTON_STEPS - done) % 2:
-                        x = prev[0]
-                    break
-                earlier, prev = prev, state
+            x = _bracketed_newton(evaluate, (lo, lo, hi))[0][0]
             norms = np.where(active, m * x, 0.0)
         return norms[:, 0].reshape(a.shape[:-1])
 
@@ -464,6 +442,8 @@ def conjugate_exponent(p) -> float:
 
 
 def _analytic_dual(family: SeqNormFamily) -> SeqNormFamily | None:
+    if isinstance(family, NumericDualFamily):
+        return family.base  # the finite-dimensional bidual
     if isinstance(family, WeightedLpFamily):
         q = conjugate_exponent(family.p)
         if family.p == 1.0 or family.p == math.inf:
@@ -481,8 +461,11 @@ class DualNormResult:
     """Koethe dual norm value with its attaining direction.
 
     ``value`` is exact for the analytic branch and a certified lower bound
-    for the numeric one; ``converged`` reports whether independent restarts
-    agreed.  Both are arrays of the batch shape for a batch of vectors.
+    for the numeric one.  ``converged`` is always true for the analytic
+    branch; for the Amemiya solve it means that its bracket is at most
+    1e-9 wide, relative, and for the ascent that two or more starts reached
+    the best value.  Both are arrays of the batch shape for a batch of
+    vectors.
     """
     value: float | np.ndarray
     witness: np.ndarray
@@ -573,32 +556,27 @@ def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
 class NumericDualFamily(SeqNormFamily):
     """Koethe dual evaluated numerically, wrapped as a norm family.
 
-    An Orlicz base goes to the Amemiya solve (``_amemiya_dual``), where a
-    row gets what it gets alone; any other base to positive-sphere ascent
-    from start points that are deterministic functions of the
-    scale-normalized input.  Ascent rows do not depend on batching either,
-    with one exception: the structured starts take the batch's length, so
-    a row with a zero tail that its batch lacks can differ from the row
-    alone.  Values are lower bounds attained by a witness: within about
-    1e-15 relative of the dual norm for the Amemiya solve, and tight to
-    optimizer precision, roughly 1e-9 relative on smooth bases, for ascent.
-    ``iterations`` and ``step0`` apply to the ascent only.
+    An Orlicz base goes to the Amemiya solve (``_amemiya_dual``); any other
+    base to positive-sphere ascent from start points that are
+    deterministic functions of the scale-normalized input (``_dual_rows``).
+    Values are lower bounds attained by a witness: within about 1e-15
+    relative of the dual norm for the Amemiya solve, and tight to optimizer
+    precision, roughly 1e-9 relative on smooth bases, for ascent.  Rows
+    follow the batch contract of README "Numerical contracts", with its
+    two exceptions.
     """
 
     kind = "numeric_dual"
 
-    def __init__(self, base: SeqNormFamily, iterations: int = 150,
-                 step0: float = 0.25, label: str | None = None):
+    def __init__(self, base: SeqNormFamily, label: str | None = None):
         self.base = base
-        self.iterations = iterations
-        self.step0 = step0
         super().__init__(label or base.label + "^x")
 
     def max_length(self):
         return self.base.max_length()
 
     def norm_array(self, values):
-        return _dual_rows(self.base, values, self.iterations, self.step0)[0]
+        return _dual_rows(self.base, values)[0]
 
 
 def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
@@ -627,23 +605,43 @@ def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
     return out, witness, agree
 
 
-def _ascent_dual(base: SeqNormFamily, values, iterations: int = 150,
-                 step0: float = 0.25):
-    """Koethe dual norms over ``base`` of ``values`` (leading axes are
-    batches) and unit witnesses, by ``_ascent_rows`` without trailing zeros."""
-    a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
-    if a.shape[-1] == 0:
-        raise InputError("empty vector")
-    out, found, _ = _ascent_rows(base, a.reshape(-1, a.shape[-1]),
-                                 iterations, step0)
-    witness = np.zeros(np.shape(values))
-    witness[..., :a.shape[-1]] = found.reshape(a.shape)
-    return out.reshape(a.shape[:-1]), witness
+def _bracketed_newton(evaluate, state, where=None):
+    """Bracketed Newton from ``state`` = (x, lo, hi, *carried): at most
+    NEWTON_STEPS steps, elementwise.
+
+    ``evaluate(state)`` returns (above, step, carried): where the root lies
+    above x, the Newton step from x, and the arrays the next state carries
+    (a warm start, say).  The bracket end on the root's side moves to x,
+    and x to the step, or to the bracket's midpoint where the step leaves
+    the bracket.  The step map is elementwise, so once the new state equals
+    the state two steps back bit for bit (NaN and signed zeros included),
+    wherever ``where`` holds (everywhere when it is None), it cycles with
+    period 1 or 2, and the parity of the steps left picks what all
+    NEWTON_STEPS steps reach.  Returns the states after NEWTON_STEPS and
+    NEWTON_STEPS - 1 steps; elements outside ``where`` are unspecified.
+    """
+    if where is not None and where.all():
+        where = None
+    x, lo, hi = state[:3]
+    earlier, prev = None, state
+    for done in range(1, NEWTON_STEPS + 1):
+        above, step, carried = evaluate(prev)
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        x = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        state = (x, lo, hi) + carried
+        if earlier is not None and _repeats(state, earlier, where):
+            return ((state, prev) if (NEWTON_STEPS - done) % 2 == 0
+                    else (prev, state))
+        earlier, prev = prev, state
+    return prev, earlier
 
 
-def _repeats(state, earlier, where=True) -> bool:
+def _repeats(state, earlier, where) -> bool:
     """Whether each array of ``state`` equals its counterpart in ``earlier``
-    bit for bit (NaN and signed zeros included) wherever ``where`` holds."""
+    bit for bit wherever ``where`` holds (everywhere when it is None)."""
+    if where is None:
+        return all(x.tobytes() == y.tobytes() for x, y in zip(state, earlier))
     return not any(((x.view(np.int64) != y.view(np.int64)) & where).any()
                    for x, y in zip(state, earlier))
 
@@ -652,28 +650,14 @@ def _inverse_derivative(phi: OrliczFunction, v: np.ndarray, u: np.ndarray,
                         top: float, live: np.ndarray) -> np.ndarray:
     """u with phi'(u) = v where ``live``, elementwise, from the start ``u``:
     Newton of log phi' against log u inside the bracket [0, top]
-    (phi'(top) >= v), bisecting whenever a step leaves the bracket.
-
-    The step map is elementwise, so once the state (u, lo, hi) of every live
-    element equals its state two steps back it cycles with period 1 or 2,
-    and the loop returns the state that all AMEMIYA_INNER_STEPS steps would
-    reach, bit for bit.  Elements outside ``live`` come back unspecified.
-    """
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, top)
-    earlier, prev = None, (u, lo, hi)
-    for done in range(1, AMEMIYA_INNER_STEPS + 1):
+    (phi'(top) >= v).  Elements outside ``live`` come back unspecified."""
+    def evaluate(state):  # the root lies above u where phi'(u) < v
+        u = state[0]
         d1, d2 = phi.derivative(u), phi.second_derivative(u)
-        short = d1 < v
-        lo = np.where(short, u, lo)
-        hi = np.where(short, hi, u)
-        step = u * np.exp(np.log(v / d1) * d1 / (u * d2))
-        u = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        state = (u, lo, hi)
-        if earlier is not None and _repeats(state, earlier, live):
-            return u if (AMEMIYA_INNER_STEPS - done) % 2 == 0 else prev[0]
-        earlier, prev = prev, state
-    return u
+        return d1 < v, u * np.exp(np.log(v / d1) * d1 / (u * d2)), ()
+
+    state = (u, np.zeros_like(u), np.full_like(u, top))
+    return _bracketed_newton(evaluate, state, live)[0][0]
 
 
 def _amemiya_dual(base: OrliczFamily, values):
@@ -685,10 +669,9 @@ def _amemiya_dual(base: OrliczFamily, values):
     (Young's equality).  Each row is scaled by its max, which puts k in
     [1 / (support * u1), phi'(u1)] (u1 = phi^{-1}(1)); k comes from
     Newton of log S against log k in that bracket and each u_i from
-    ``_inverse_derivative``, warm-started across outer steps.  Only
-    per-row operations run, at most 16 x 16 steps, ending early only once
-    the state repeats, which gives the fixed-count result bit for bit; so a
-    row's result does not depend on its batch.  The witness
+    ``_inverse_derivative``, warm-started across outer steps, both by
+    ``_bracketed_newton``.  Only per-row operations run, so a row's result
+    does not depend on its batch.  The witness
     alpha = u / ||u|| is one Luxemburg evaluation; the value <alpha, |b|>
     is a lower bound attained by it, and the Amemiya objective at the last
     k is the upper side of the bracket.  Returns (values, nonnegative
@@ -714,40 +697,27 @@ def _amemiya_dual(base: OrliczFamily, values):
     u1 = phi.unit_level
     floor = phi.derivative(np.zeros(()))
     support = np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
+
+    def evaluate(state):  # the root lies above t where not S(e^t) >= 1
+        t, _, _, u = state
+        v = np.exp(t) * b
+        live = v > floor
+        u = _inverse_derivative(phi, v, np.where(u > 0.0, u, u1), u1, live)
+        u = np.where(live, u, 0.0)
+        level = phi.func(u).sum(axis=-1, keepdims=True)
+        slope = np.where(live, v * v / phi.second_derivative(u),
+                         0.0).sum(axis=-1, keepdims=True)
+        return ~(level >= 1.0), t - level * np.log(level) / slope, (u,)
+
     t_hi = np.full_like(scale, np.log(phi.derivative(np.asarray(u1))))
     t_lo = np.minimum(t_hi, -np.log(support * u1))
-    t = t_hi
-    u = np.full_like(b, u1)
-    # the outer state (t, t_lo, t_hi, u) ends early as the inner one does;
-    # ``latest`` and ``before`` are (k, v, u, phi(u)) of the last two steps
-    earlier, prev, latest = None, (t, t_lo, t_hi, u), None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        for done in range(1, AMEMIYA_OUTER_STEPS + 1):
-            k = np.exp(t)
-            v = k * b
-            live = v > floor
-            u = _inverse_derivative(phi, v, np.where(u > 0.0, u, u1), u1, live)
-            u = np.where(live, u, 0.0)
-            phi_u = phi.func(u)
-            level = phi_u.sum(axis=-1, keepdims=True)
-            slope = np.where(live, v * v / phi.second_derivative(u),
-                             0.0).sum(axis=-1, keepdims=True)
-            over = level >= 1.0
-            t_lo = np.where(over, t_lo, t)
-            t_hi = np.where(over, t, t_hi)
-            step = t - level * np.log(level) / slope
-            t = np.where((step >= t_lo) & (step <= t_hi), step,
-                         0.5 * (t_lo + t_hi))
-            state = (t, t_lo, t_hi, u)
-            latest, before = (k, v, u, phi_u), latest
-            if earlier is not None and _repeats(state, earlier):
-                if (AMEMIYA_OUTER_STEPS - done) % 2:
-                    latest = before
-                break
-            earlier, prev = prev, state
-        k, v, u, phi_u = latest
-        upper = (1.0 + (v * u - phi_u).sum(axis=-1)) / k[:, 0]
+        # u of the last state was solved at the level t of the one before
+        last, before = _bracketed_newton(
+            evaluate, (t_hi, t_lo, t_hi, np.full_like(b, u1)))
+        u, k = last[3], np.exp(before[0])
+        upper = (1.0 + (k * b * u - phi.func(u)).sum(axis=-1)) / k[:, 0]
     nrm = base.norm_array(u)
     alpha = u / np.where(nrm > 0.0, nrm, 1.0)[:, None]
     value = scale[:, 0] * (alpha * b).sum(axis=-1)
@@ -757,26 +727,26 @@ def _amemiya_dual(base: OrliczFamily, values):
             (scale[:, 0] * upper).reshape(rows))
 
 
-def _dual_rows(base: SeqNormFamily, values, iterations: int = 150,
-               step0: float = 0.25):
-    """Koethe dual norms of ``values`` over ``base`` and their nonnegative
-    unit witnesses: the Amemiya solve for an Orlicz base, ``_ascent_dual``
-    otherwise (the only one that uses ``iterations`` and ``step0``)."""
+def _dual_rows(base: SeqNormFamily, values):
+    """Koethe dual norms of ``values`` (leading axes are batches) over
+    ``base`` and their nonnegative unit witnesses: the Amemiya solve for an
+    Orlicz base, otherwise ``_ascent_rows`` (150 iterations from step 0.25)
+    on the rows without the trailing zeros that the whole batch has."""
     if isinstance(base, OrliczFamily):
         return _amemiya_dual(base, values)[:2]
-    return _ascent_dual(base, values, iterations, step0)
+    a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
+    if a.shape[-1] == 0:
+        raise InputError("empty vector")
+    out, found, _ = _ascent_rows(base, a.reshape(-1, a.shape[-1]), 150, 0.25)
+    witness = np.zeros(np.shape(values))
+    witness[..., :a.shape[-1]] = found.reshape(a.shape)
+    return out.reshape(a.shape[:-1]), witness
 
 
-def kothe_dual(family: SeqNormFamily, iterations: int = 150,
-               step0: float = 0.25) -> SeqNormFamily:
+def kothe_dual(family: SeqNormFamily) -> SeqNormFamily:
     """The Koethe dual family: analytic for lp-type, the base family for a
     numeric dual (the finite-dimensional bidual), numeric wrapper otherwise."""
-    if isinstance(family, NumericDualFamily):
-        return family.base
-    analytic = _analytic_dual(family)
-    if analytic is not None:
-        return analytic
-    return NumericDualFamily(family, iterations=iterations, step0=step0)
+    return _analytic_dual(family) or NumericDualFamily(family)
 
 
 def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
@@ -784,13 +754,12 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
                     seed: int = 0, step0: float = 0.25) -> DualNormResult:
     """sup { sum |alpha_i beta_i| : ||alpha|| <= 1 } on the support of beta.
 
-    Leading axes of ``beta`` are batch axes; a row gets what it gets alone
-    (bit for bit, unless it has 8 or more entries and a zero tail that the
-    batch lacks).  ``method`` is "auto", "analytic" or "numeric".  For an
-    Orlicz family the numeric branch is the Amemiya solve
-    (``_amemiya_dual``), which ignores the budget and ``seed`` and
-    converges when its bracket is at most 1e-9 wide, relative; otherwise
-    ``_ascent_rows``, converged when two or more starts reach the best.
+    Leading axes of ``beta`` are batch axes; rows follow the batch contract
+    of README "Numerical contracts".  ``method`` is "auto", "analytic" or
+    "numeric".  The analytic branch covers lp-type families and numeric
+    duals, whose dual is their base.  For an Orlicz family the numeric
+    branch is the Amemiya solve (``_amemiya_dual``), which ignores the
+    budget and ``seed`` once it is valid; otherwise ``_ascent_rows``.
     """
     b = as_array(beta, (..., None), "vector")
     family.check_length(b.shape[-1])
@@ -798,6 +767,8 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
     analytic = _analytic_dual(family)
     if method == "auto":
         method = "analytic" if analytic is not None else "numeric"
+    if method == "numeric":
+        AscentBudget(restarts, iterations, step0).validate()
     if method == "analytic":
         if analytic is None:
             raise InputError(f"no analytic Koethe dual known for {family.label}")
@@ -805,8 +776,6 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
         converged = np.ones(len(flat), dtype=bool)
     elif method != "numeric":
         raise InputError(f"unknown dual method {method!r}")
-    elif restarts < 1 or iterations < 1:
-        raise InputError("numeric dual needs a positive budget")
     elif isinstance(family, OrliczFamily):
         value, witness, upper = _amemiya_dual(family, flat)
         witness = witness * np.sign(flat)

@@ -1,6 +1,7 @@
 """Koethe duals of Luxemburg norms by the Amemiya solve, against the
 benchmark's numpy-only oracles and against positive-sphere ascent; and
-Luxemburg norms by Newton against a 60-step bisection."""
+Luxemburg norms by Newton against a 60-step bisection and against the
+fixed-count Newton."""
 
 import importlib.util
 import warnings
@@ -17,9 +18,8 @@ from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           kothe_dual, kothe_dual_norm, parse_gauge,
                           seq_lattice)
 from lattice_calc.cli import EXIT_OK, run
-from lattice_calc.seq_lattice import (AMEMIYA_INNER_STEPS,
-                                      AMEMIYA_OUTER_STEPS, _amemiya_dual,
-                                      _ascent_dual, _linear_ascent,
+from lattice_calc.seq_lattice import (NEWTON_STEPS, _amemiya_dual,
+                                      _ascent_rows, _linear_ascent,
                                       _structured_dual_inits,
                                       strip_trailing_zeros)
 
@@ -95,7 +95,7 @@ def test_ascent_never_exceeds_amemiya(gauge):
     fam = OrliczFamily(parse_gauge(gauge))
     betas = np.random.default_rng(6).standard_normal((12, 5))
     amemiya = _amemiya_dual(fam, betas)[0]
-    ascent = _ascent_dual(fam, betas)[0]
+    ascent = _ascent_rows(fam, np.abs(betas), 150, 0.25)[0]
     assert np.all(ascent <= amemiya * (1.0 + 1e-12))
 
 
@@ -245,10 +245,10 @@ FORMER = ("u", "2*u", "(u^2)^0.75", "u^2*u^0.5", "(u^2+u^3)^0.5")
 
 def _fixed_inverse_derivative(derivative, second_derivative, v, u, top):
     """``_inverse_derivative`` as it was before its early exit: all
-    AMEMIYA_INNER_STEPS steps, on every element."""
+    NEWTON_STEPS steps, on every element."""
     lo = np.zeros_like(u)
     hi = np.full_like(u, top)
-    for _ in range(AMEMIYA_INNER_STEPS):
+    for _ in range(NEWTON_STEPS):
         d1, d2 = derivative(u), second_derivative(u)
         short = d1 < v
         lo = np.where(short, u, lo)
@@ -260,7 +260,7 @@ def _fixed_inverse_derivative(derivative, second_derivative, v, u, top):
 
 def _fixed_amemiya_dual(base, values):
     """``_amemiya_dual`` as it was before its early exits: all
-    AMEMIYA_OUTER_STEPS outer steps of _fixed_inverse_derivative."""
+    NEWTON_STEPS outer steps of _fixed_inverse_derivative."""
     a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
     if not a.any():
         return (np.zeros(a.shape[:-1]), np.zeros(np.shape(values)),
@@ -278,7 +278,7 @@ def _fixed_amemiya_dual(base, values):
     u = np.full_like(b, u1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        for _ in range(AMEMIYA_OUTER_STEPS):
+        for _ in range(NEWTON_STEPS):
             k = np.exp(t)
             v = k * b
             live = v > floor
@@ -358,8 +358,43 @@ def test_early_exit_bitwise_property(gauge, rows, n, decades, exponent,
     _assert_same_bits(OrliczFamily(parse_gauge(gauge)), betas)
 
 
+def _fixed_luxemburg(fam, values):
+    """``OrliczFamily.norm_array`` as it was before its early exit: all
+    NEWTON_STEPS bracketed Newton steps on every row."""
+    a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
+    flat = a.reshape(-1, a.shape[-1])
+    m = flat.max(axis=-1, keepdims=True)
+    active = m != 0.0
+    b = flat / np.where(active, m, 1.0)
+    lo = np.full_like(m, 1.0 / fam.phi.unit_level)
+    hi = lo * np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
+    x = lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        for _ in range(NEWTON_STEPS):
+            u = b / x
+            level = fam.phi.func(u).sum(axis=-1, keepdims=True)
+            slope = (u * fam.phi.derivative(u)).sum(axis=-1, keepdims=True)
+            over = level > 1.0
+            lo = np.where(over, x, lo)
+            hi = np.where(over, hi, x)
+            step = x * np.exp(level * np.log(level) / slope)
+            x = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        norms = np.where(active, m * x, 0.0)
+    return norms[:, 0].reshape(a.shape[:-1])
+
+
+@pytest.mark.parametrize("gauge", STRESS + FORMER)
+def test_luxemburg_early_exit_is_bitwise_the_fixed_count_newton(gauge):
+    fam = OrliczFamily(parse_gauge(gauge))
+    for values in _stress_batches(np.random.default_rng(5)):
+        with np.errstate(all="ignore"):
+            got, want = fam.norm_array(values), _fixed_luxemburg(fam, values)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_one_row_solve_takes_few_inner_steps(monkeypatch):
-    # the fixed count is AMEMIYA_OUTER_STEPS * AMEMIYA_INNER_STEPS = 256
+    # the fixed count is NEWTON_STEPS * NEWTON_STEPS = 256
     fam = OrliczFamily(parse_gauge("u^2"))
     steps = []
     inner = seq_lattice._inverse_derivative

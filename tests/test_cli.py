@@ -180,6 +180,16 @@ def test_malformed_counts_and_budget_exit_2(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step0", [0, -1])
+def test_dualnorm_nonpositive_step0_exits_2(tmp_path, capsys, step0):
+    cfg = _write(tmp_path, "d.json",
+                 {"task": "dualnorm", "family": {"kind": "lp", "p": 1.5},
+                  "vector": [1.0, -2.0, 0.5], "method": "numeric",
+                  "budget": {"step0": step0}})
+    assert main(["dualnorm", "--config", cfg]) == EXIT_INPUT_ERROR
+    assert "step0" in capsys.readouterr().err
+
+
 def test_verify_single_pairing_instance():
     records = mixed_suite(dict(SMALL_COUNTS, pairing_instances=1), seed=3)
     pairing = [r for r in records if r["op"] == "sequence_pairing_bound"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lattice_calc import constants
 from lattice_calc import (AscentBudget, InputError, LpFamily, OperatorInstance,
                           OrliczFamily, ScaleGuardError, brute_force_constant,
                           concavity_ratio, convexity_ratio, duality_check,
@@ -134,14 +135,14 @@ def test_estimate_agrees_with_grid_oracle():
 
 def test_functional_norm_sqrt2_case():
     E = lattice(1, LpFamily(2))
-    res = functional_norm(E, LpFamily(2), [[1.0], [1.0]], "strong", LIGHT, 0)
+    res = functional_norm(E, LpFamily(2), [[1.0], [1.0]], "strong")
     assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
 def test_functional_norm_single_coordinate():
     E = lattice(3, LpFamily(3))
     s = np.array([[0.0, 2.0, 0.0]])
-    res = functional_norm(E, LpFamily(2), s, "strong", LIGHT, 0)
+    res = functional_norm(E, LpFamily(2), s, "strong")
     dual_row = E.dual().norm(s[0])
     expect = dual_row * kothe_dual(LpFamily(2)).norm([1.0])
     assert res.value == pytest.approx(expect, rel=1e-9)
@@ -153,12 +154,30 @@ def test_functional_norm_matches_dual_mixed_norms():
         space = lattice(3, LpFamily([2, 1.5, 3, 2][k]))
         fam = LpFamily([2, 3, 1.5, 2][k])
         s = rng.standard_normal((2, 3))
-        strong = functional_norm(space, fam, s, "strong", seed=k)
+        strong = functional_norm(space, fam, s, "strong")
         assert strong.value == pytest.approx(
             strong_mixed_norm(space.dual(), kothe_dual(fam), s), rel=1e-3)
-        pw = functional_norm(space, fam, s, "pointwise", seed=k)
+        pw = functional_norm(space, fam, s, "pointwise")
         assert pw.value == pytest.approx(
             pointwise_mixed_norm(space.dual(), kothe_dual(fam), s), rel=1e-3)
+
+
+def test_functional_norm_is_its_support_map_without_a_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("functional_norm ran maximize_ratio")
+
+    monkeypatch.setattr(constants, "maximize_ratio", refuse)
+    s = np.random.default_rng(64).standard_normal((2, 3))
+    space = lattice(3, LpFamily(1.5))
+    fam = LpFamily(3)
+    strong = functional_norm(space, fam, s, "strong")
+    assert strong.converged
+    assert strong.value == pytest.approx(
+        strong_mixed_norm(space.dual(), kothe_dual(fam), s), rel=1e-12)
+    pw = functional_norm(space, fam, s, "pointwise")
+    assert pw.converged
+    assert pw.value == pytest.approx(
+        pointwise_mixed_norm(space.dual(), kothe_dual(fam), s), rel=1e-12)
 
 
 def test_duality_identity_and_scaling():

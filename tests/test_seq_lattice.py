@@ -145,6 +145,31 @@ def test_dual_family_roundtrips():
                        rtol=1e-9)
 
 
+@pytest.mark.parametrize("base, expect", [
+    (OrliczFamily(parse_gauge("u^3")), 3.305744509228972),
+    (CustomFamily(lambda v: float(np.abs(v).max() + 0.5 * np.abs(v).sum())),
+     6.25),
+], ids=["orlicz", "custom"])
+def test_bidual_norm_is_the_base_norm(base, expect):
+    # the dual of a numeric dual is its base, with no search over it
+    beta = [1.0, -2.0, 0.5, 3.0]
+    res = kothe_dual_norm(kothe_dual(base), beta)
+    assert res.method == "analytic" and res.converged
+    assert res.value == base.norm(beta) == expect
+
+
+def test_numeric_dual_budget_rejects_fractional_restarts():
+    with pytest.raises(InputError, match="budget"):
+        kothe_dual_norm(LpFamily(1.5), [1.0, -2.0, 0.5], method="numeric",
+                        restarts=40.5)
+
+
+def test_numeric_dual_budget_rejects_bool_restarts():
+    with pytest.raises(InputError, match="budget"):
+        kothe_dual_norm(LpFamily(1.5), [1.0, -2.0, 0.5], method="numeric",
+                        restarts=True)
+
+
 def test_dual_witness_attains():
     rng = np.random.default_rng(9)
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
