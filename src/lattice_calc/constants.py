@@ -105,17 +105,18 @@ def _strong_support(space_family: SeqNormFamily, family: SeqNormFamily,
     """argmax of sum_j <x_j, s_j> over the strong mixed-norm unit ball:
     x_j = c_j W_E(s_j) with c = W_Y((<W_E(s_j), s_j>)_j); s is (..., n, d)."""
     rows = dual_witness(space_family, s)
-    return dual_witness(family, (rows * s).sum(axis=-1))[..., None] * rows
+    pairings = np.add.reduce(rows * s, axis=-1)
+    return dual_witness(family, pairings)[..., None] * rows
 
 
 def _pointwise_support(space_family: SeqNormFamily, family: SeqNormFamily,
                        s: np.ndarray) -> np.ndarray:
     """argmax of sum_j <x_j, s_j> over the pointwise mixed-norm unit ball:
     x_j(w) = a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings."""
-    cols = np.swapaxes(s, -1, -2)
+    cols = s.swapaxes(-1, -2)
     fibers = dual_witness(family, cols)
-    scale = dual_witness(space_family, (fibers * cols).sum(axis=-1))
-    return np.swapaxes(scale[..., None] * fibers, -1, -2)
+    scale = dual_witness(space_family, np.add.reduce(fibers * cols, axis=-1))
+    return (scale[..., None] * fibers).swapaxes(-1, -2)
 
 
 def _power_step(op: OperatorInstance, family: SeqNormFamily, flavor: str,

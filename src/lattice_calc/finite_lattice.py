@@ -190,7 +190,7 @@ def lattice_valued_norm(family: SeqNormFamily, rows) -> np.ndarray:
     if a.ndim < 2:
         raise InputError(f"expected tuples of shape (..., n, m), got {a.shape}")
     family.check_length(a.shape[-2])
-    return family.norm_array(np.swapaxes(a, -2, -1))
+    return family.norm_array(a.swapaxes(-2, -1))
 
 
 def krivine_compose_check(inner: Sequence[HomogeneousFunction],

@@ -59,17 +59,17 @@ def operator_norm(op: OperatorInstance, budget: AscentBudget | None = None,
                   seed: int = 0, extra_inits=()) -> AscentResult:
     """Power-method estimate of sup ||Tw|| / ||w||, a certified lower bound;
     the step is w -> W_E(T^t W_{X*}(Tw)), with W the support maps."""
-    mat = op.matrix
-    dom = op.domain.family
-    cod_dual = kothe_dual(op.codomain.family)
+    mat, mat_t = op.matrix, op.matrix.T
+    dom, cod = op.domain.family, op.codomain.family
+    cod_dual = kothe_dual(cod)
 
     # stacked (1, d) @ (d, m) products: each restart's arithmetic is then
     # independent of how many restarts share the batch
     def lift(z):
-        return (z[:, None, :] @ mat.T)[:, 0]
+        return (z[:, None, :] @ mat_t)[:, 0]
 
     def numer(z):
-        return op.codomain.norm_array(lift(z))
+        return cod.norm_array(lift(z))
 
     def step(z):
         y_star = dual_witness(cod_dual, lift(z))

@@ -52,10 +52,12 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
     (batch, dim) arrays.  ``inits`` come first, then seeded normals."""
     def on_sphere(z):  # rows scaled to g = 1 and their ratios, -inf if g = 0
         g = denominator(z)
+        if (np.minimum.reduce(g, initial=np.inf) > 0.0
+                and np.maximum.reduce(g, initial=0.0) < np.inf):
+            z = z / g[:, None]
+            return z, numerator(z)
         ok = (g > 0.0) & np.isfinite(g)
         z = z / np.where(ok, g, 1.0)[:, None]
-        if ok.all():
-            return z, numerator(z)
         val = np.full(len(z), -np.inf)
         if ok.any():
             val[ok] = numerator(z[ok])

@@ -35,11 +35,13 @@ def strip_trailing_zeros(values: np.ndarray) -> np.ndarray:
     Finite vectors represent eventually-zero sequences, so trailing zeros
     are representation artifacts; removing them before any reduction makes
     zero-padding invariance bitwise exact regardless of summation order.
+    Keeps at least one coordinate (a NaN is not a zero); returns ``values``
+    itself when its last column has a nonzero entry, else a view of it.
     """
     a = values
     n = a.shape[-1]
     keep = n
-    while keep > 1 and not a[..., keep - 1].any():
+    while keep > 1 and not np.count_nonzero(a[..., keep - 1]):
         keep -= 1
     return a[..., :keep] if keep < n else a
 
@@ -161,7 +163,12 @@ class SeqNormFamily:
 
 
 class LpFamily(SeqNormFamily):
-    """The lp scale, 1 <= p <= inf, with dedicated sum/max formulas at the ends."""
+    """The lp scale, 1 <= p <= inf, with dedicated sum/max formulas at the ends.
+
+    For 1 < p < inf a row is divided by its max before the power sum, so
+    no row overflows; a zero row has norm 0 and a NaN row NaN.  ``1/p`` and
+    the conjugate's ``q - 1`` are computed once, for ``dual_witness`` too.
+    """
 
     kind = "lp"
 
@@ -170,6 +177,8 @@ class LpFamily(SeqNormFamily):
         if math.isnan(p) or p < 1.0:
             raise InputError(f"lp exponent must satisfy p >= 1, got {p}")
         self.p = p
+        self._inv_p = 1.0 / p
+        self._q_minus_1 = conjugate_exponent(p) - 1.0
         if label is None:
             label = "linf" if p == math.inf else f"l{p:g}"
         super().__init__(label)
@@ -179,18 +188,19 @@ class LpFamily(SeqNormFamily):
         if a.shape[-1] == 0:
             raise InputError("empty vector")
         if self.p == math.inf:
-            return a.max(axis=-1)
+            return np.maximum.reduce(a, axis=-1)
         if self.p == 1.0:
-            return a.sum(axis=-1)
-        m = a.max(axis=-1, keepdims=True)
-        # zero rows are found by equality, so a row with a NaN stays NaN
-        zero = m == 0.0
-        scale = np.where(zero, 1.0, m)
+            return np.add.reduce(a, axis=-1)
+        m = np.maximum.reduce(a, axis=-1, keepdims=True)
+        # zero rows are found by equality, so a row with a NaN stays NaN;
+        # without a zero row both np.where below are identities
+        zero = None if np.count_nonzero(m) == m.size else m == 0.0
+        scale = m if zero is None else np.where(zero, 1.0, m)
         # the root is taken on an array even for one vector: numpy's scalar
         # pow can differ in the last bit from its array pow on a batch row
-        body = ((a / scale) ** self.p).sum(axis=-1, keepdims=True) ** (
-            1.0 / self.p)
-        return np.where(zero, 0.0, scale * body)[..., 0]
+        body = scale * np.add.reduce((a / scale) ** self.p, axis=-1,
+                                     keepdims=True) ** self._inv_p
+        return (body if zero is None else np.where(zero, 0.0, body))[..., 0]
 
     def norm_gradient(self, values, norms=None):
         a = np.asarray(values, dtype=float)
@@ -526,21 +536,24 @@ def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
     unit = np.ones(live)
     for _ in range(iterations):
         g = family.norm_gradient(a_it, norms=unit)
-        gg = (g * g).sum(axis=-1)
-        gb = (g * b_it).sum(axis=-1)
+        gg = np.add.reduce(g * g, axis=-1)
+        gb = np.add.reduce(g * b_it, axis=-1)
         d = b_it - g * (gb / np.maximum(gg, 1e-300))[:, None]
-        dn = np.sqrt((d * d).sum(axis=-1))
-        d = d / np.maximum(dn, 1e-300)[:, None]
-        cand = np.maximum(a_it + eta[:, None] * d, 0.0)
+        dn = np.sqrt(np.add.reduce(d * d, axis=-1))
+        d /= np.maximum(dn, 1e-300)[:, None]
+        cand = np.add(a_it, np.multiply(eta[:, None], d, out=d), out=d)
+        np.maximum(cand, 0.0, out=cand)
         cn = family.norm_array(cand)
         ok = cn > 0.0
-        cand = np.where(ok[:, None], cand / np.where(ok, cn, 1.0)[:, None], a_it)
-        cv = (cand * b_it).sum(axis=-1)
+        cand /= np.where(ok, cn, 1.0)[:, None]  # a row not ok is not adopted
+        cv = np.add.reduce(cand * b_it, axis=-1)
         adopt = ok & (cv > v_it) & (dn > 1e-15)
-        a_it = np.where(adopt[:, None], cand, a_it)
-        v_it = np.where(adopt, cv, v_it)
-        eta_next = np.clip(np.where(adopt, eta * 1.4, eta * 0.4), 1e-14, 4.0)
-        if not adopt.any() and np.array_equal(eta_next, eta):
+        eta_next = np.minimum(np.maximum(
+            np.where(adopt, eta * 1.4, eta * 0.4), 1e-14), 4.0)
+        if adopt.any():
+            a_it[adopt] = cand[adopt]
+            v_it[adopt] = cv[adopt]
+        elif np.array_equal(eta_next, eta):
             break  # every eta sits at its floor: a fixed point
         eta = eta_next
     alpha = np.concatenate([a_it, alpha[live:]])
@@ -757,9 +770,10 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
     Leading axes of ``beta`` are batch axes; rows follow the batch contract
     of README "Numerical contracts".  ``method`` is "auto", "analytic" or
     "numeric".  The analytic branch covers lp-type families and numeric
-    duals, whose dual is their base.  For an Orlicz family the numeric
-    branch is the Amemiya solve (``_amemiya_dual``), which ignores the
-    budget and ``seed`` once it is valid; otherwise ``_ascent_rows``.
+    duals, whose dual is their base; "numeric" on a numeric dual raises
+    InputError.  For an Orlicz family the numeric branch is the Amemiya
+    solve (``_amemiya_dual``), which ignores the budget and ``seed`` once
+    it is valid; otherwise ``_ascent_rows``.
     """
     b = as_array(beta, (..., None), "vector")
     family.check_length(b.shape[-1])
@@ -769,6 +783,10 @@ def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
         method = "analytic" if analytic is not None else "numeric"
     if method == "numeric":
         AscentBudget(restarts, iterations, step0).validate()
+        if isinstance(family, NumericDualFamily):
+            raise InputError(f"the Koethe dual of {family.label} is its base "
+                             f"family {family.base.label}: use method "
+                             f"\"auto\" or \"analytic\"")
     if method == "analytic":
         if analytic is None:
             raise InputError(f"no analytic Koethe dual known for {family.label}")
@@ -806,14 +824,19 @@ def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     mags = np.abs(b)
     if isinstance(family, LpFamily) and 1.0 < family.p < math.inf:
-        top = mags.max(axis=-1, keepdims=True)
-        prof = (mags / np.where(top > 0.0, top, 1.0)) ** (
-            conjugate_exponent(family.p) - 1.0)
+        top = np.maximum.reduce(mags, axis=-1, keepdims=True)
+        # the guards are identities unless a row max is 0, NaN or inf
+        plain = (np.minimum.reduce(top, axis=None, initial=math.inf) > 0.0
+                 and np.maximum.reduce(top, axis=None, initial=0.0) < math.inf)
+        prof = (mags / (top if plain else np.where(top > 0.0, top, 1.0))
+                ) ** family._q_minus_1
         # prof peaks at exactly 1, so its lp norm needs no rescale
-        nrm = (strip_trailing_zeros(prof) ** family.p).sum(
-            axis=-1, keepdims=True) ** (1.0 / family.p)
-        alpha = prof / np.where(nrm > 0.0, nrm, 1.0) * np.sign(b)
-        alpha[top[..., 0] == 0.0, 0] = 1.0  # a NaN row is not a zero row
+        nrm = np.add.reduce(strip_trailing_zeros(prof) ** family.p, axis=-1,
+                            keepdims=True) ** family._inv_p
+        alpha = prof / (nrm if plain else np.where(nrm > 0.0, nrm, 1.0)
+                        ) * np.sign(b)
+        if not plain:
+            alpha[top[..., 0] == 0.0, 0] = 1.0  # a NaN row is not a zero row
         return alpha
     if isinstance(family, NumericDualFamily):
         alpha = family.base.norm_gradient(b)
@@ -823,15 +846,15 @@ def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
     elif isinstance(family, LpFamily):
         if family.p == 1.0:
             alpha = (mags.argmax(axis=-1)[..., None]
-                     == np.arange(b.shape[-1])) * 1.0
+                     == np.arange(b.shape[-1])) * np.sign(b)
         else:
-            alpha = np.ones_like(b)
-        alpha = alpha * np.sign(b)
+            alpha = np.sign(b)
     else:
         alpha = _dual_rows(family, b)[1] * np.sign(b)
-    zero = ~b.any(axis=-1)
-    if np.any(zero):
-        alpha[zero, 0] = 1.0 / family.unit_vector_norm(0, b.shape[-1])
+    if np.count_nonzero(mags) < mags.size:  # maybe a zero row
+        zero = ~np.logical_or.reduce(mags, axis=-1)
+        if zero.any():
+            alpha[zero, 0] = 1.0 / family.unit_vector_norm(0, b.shape[-1])
     return alpha
 
 

@@ -1,11 +1,17 @@
 """tools/report_digests.py: a dump compared with itself shows nothing,
-and a moved field is reported with its relative change."""
+a moved field is reported with its relative change, and every output
+still has the digest committed in tests/data/report_digests.json."""
 
 import importlib.util
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
 
 
 def _load_tool():
@@ -37,3 +43,21 @@ def test_compare_of_a_dump_with_itself_reports_nothing(tmp_path, capsys):
     assert len(out) == 1 and out[0].startswith(f"{sweep}: 1 field(s) moved")
     assert "at [3]" in out[0]
     assert json.loads(path.read_text()).keys() == dump.keys()
+
+
+def test_outputs_match_committed_digests():
+    # byte identity of every fixed-seed output; a change that moves a value
+    # regenerates the file with `report_digests.py digest` and records the
+    # lines of `report_digests.py compare` between the two programs
+    committed = json.loads(DIGESTS.read_text())
+    here = {"numpy": np.__version__, "machine": platform.machine(),
+            "python": platform.python_version()}
+    other = {k: (committed[k], v) for k, v in here.items()
+             if committed[k] != v}
+    if other:
+        pytest.skip(f"digests were taken elsewhere (file, here): {other}")
+    outputs = _load_tool().digests()["outputs"]
+    want = committed["outputs"]
+    moved = sorted(name for name in want.keys() | outputs.keys()
+                   if want.get(name) != outputs.get(name))
+    assert not moved, f"{len(moved)} output(s) differ: {moved}"

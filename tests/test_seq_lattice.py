@@ -12,7 +12,8 @@ from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           OrliczFunction, WeightedLpFamily,
                           conjugate_exponent, dual_witness,
                           holder_check, kothe_dual, kothe_dual_norm, lattice,
-                          parse_gauge, strong_mixed_norm)
+                          lattice_valued_norm, parse_gauge, strong_mixed_norm)
+from lattice_calc.constants import _pointwise_support, _strong_support
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -156,6 +157,20 @@ def test_bidual_norm_is_the_base_norm(base, expect):
     res = kothe_dual_norm(kothe_dual(base), beta)
     assert res.method == "analytic" and res.converged
     assert res.value == base.norm(beta) == expect
+
+
+def test_numeric_method_on_a_numeric_dual_is_refused():
+    # its dual is the base family: an ascent over finite-difference
+    # gradients of the numeric dual could only approximate the base norm
+    dual = kothe_dual(OrliczFamily(parse_gauge("u^3")))
+    beta = [1.0, -2.0, 0.5, 3.0]
+    with pytest.raises(InputError, match=r'base family orlicz\[u\^3\].*'
+                                         r'"auto" or "analytic"'):
+        kothe_dual_norm(dual, beta, method="numeric")
+    with pytest.raises(InputError, match="budget"):  # the budget comes first
+        kothe_dual_norm(dual, beta, method="numeric", restarts=0)
+    assert kothe_dual_norm(dual, beta, method="analytic").value == (
+        3.305744509228972)
 
 
 def test_numeric_dual_budget_rejects_fractional_restarts():
@@ -390,8 +405,39 @@ def test_numeric_batch_agrees_with_closed_forms():
 
 
 # ---------------------------------------------------------------------------
-# lp support maps: bit for bit the formula that normalized the profile with
-# norm_array, scattered the l1 one-hot and took 1 / ||e_0|| for zero rows
+# lp kernels: bit for bit the formulas below, frozen copies of the lp norm,
+# trailing-zero strip and support maps that applied every np.where guard and
+# the e_0 scatter to every batch (the kernels skip them where they are
+# identities), normalized the lp profile with the norm and scattered the l1
+# one-hot
+
+
+def _reference_strip(a):
+    n = a.shape[-1]
+    keep = n
+    while keep > 1 and not a[..., keep - 1].any():
+        keep -= 1
+    return a[..., :keep] if keep < n else a
+
+
+def _reference_norm(family, values):
+    a = np.asarray(values, dtype=float)
+    if isinstance(family, WeightedLpFamily):
+        a = _reference_strip(a)
+        return _reference_norm(family._core,
+                               a * family._scaling[:a.shape[-1]])
+    a = _reference_strip(np.abs(a))
+    if family.p == math.inf:
+        return a.max(axis=-1)
+    if family.p == 1.0:
+        return a.sum(axis=-1)
+    m = a.max(axis=-1, keepdims=True)
+    zero = m == 0.0
+    scale = np.where(zero, 1.0, m)
+    body = ((a / scale) ** family.p).sum(axis=-1, keepdims=True) ** (
+        1.0 / family.p)
+    return np.where(zero, 0.0, scale * body)[..., 0]
+
 
 def _reference_witness(family, beta):
     b = np.asarray(beta, dtype=float)
@@ -409,32 +455,75 @@ def _reference_witness(family, beta):
             top = mags.max(axis=-1, keepdims=True)
             prof = (mags / np.where(top > 0.0, top, 1.0)) ** (
                 conjugate_exponent(family.p) - 1.0)
-            nrm = family.norm_array(prof)[..., None]
+            nrm = _reference_norm(family, prof)[..., None]
             alpha = prof / np.where(nrm > 0.0, nrm, 1.0)
         alpha = alpha * np.sign(b)
     zero = ~b.any(axis=-1)
     if np.any(zero):
-        alpha[zero, 0] = 1.0 / family.unit_vector_norm(0, b.shape[-1])
+        e0 = np.zeros(b.shape[-1])
+        e0[0] = 1.0
+        alpha[zero, 0] = 1.0 / float(_reference_norm(family, e0))
     return alpha
+
+
+def _reference_strong_support(space_family, family, s):
+    rows = _reference_witness(space_family, s)
+    return _reference_witness(family, (rows * s).sum(axis=-1))[..., None] * rows
+
+
+def _reference_pointwise_support(space_family, family, s):
+    cols = np.swapaxes(s, -1, -2)
+    fibers = _reference_witness(family, cols)
+    scale = _reference_witness(space_family, (fibers * cols).sum(axis=-1))
+    return np.swapaxes(scale[..., None] * fibers, -1, -2)
 
 
 _WITNESS_P = (1.0, 1.25, 1.5, 2.0, 3.0, 7.0, math.inf)
 _WITNESS_FAMILIES = [LpFamily(p) for p in _WITNESS_P] + [
     WeightedLpFamily(p, np.random.default_rng(43).uniform(0.25, 4.0, 17))
     for p in _WITNESS_P]
+# each family with its conjugate, a different lp and a weighted family as
+# the other side of the support maps
+_SUPPORT_PAIRS = [(f, g) for i, f in enumerate(_WITNESS_FAMILIES)
+                  for g in (_WITNESS_FAMILIES[(i + 3) % 14],
+                            _WITNESS_FAMILIES[13 - i])]
+
+
+def _assert_bits(got, ref, what):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape, what
+    assert got.dtype == ref.dtype == np.float64, what
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64)), what
 
 
 def _assert_witness_bits(family, betas):
     got = dual_witness(family, betas)
-    ref = _reference_witness(family, betas)
-    assert got.shape == ref.shape == np.shape(betas)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64)), family
+    assert got.shape == np.shape(betas), family
+    _assert_bits(got, _reference_witness(family, betas), family)
+
+
+def _assert_norm_bits(family, values):
+    _assert_bits(family.norm_array(values), _reference_norm(family, values),
+                 family)
+
+
+def _assert_support_bits(space_family, family, s):
+    what = (space_family, family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_bits(_strong_support(space_family, family, s),
+                     _reference_strong_support(space_family, family, s), what)
+        _assert_bits(_pointwise_support(space_family, family, s),
+                     _reference_pointwise_support(space_family, family, s),
+                     what)
+    _assert_bits(lattice_valued_norm(family, s),
+                 _reference_norm(family, np.swapaxes(s, -2, -1)), what)
 
 
 def _witness_batches(rng):
-    """(2, 6, n) batches: a zero row, a NaN row, zero tails that the batch
-    lacks, and in the second sheet twelve decades within rows and row
-    maxima of 1e-300 and 1e300."""
+    """(2, 6, n) batches: a zero row, a NaN row, a row with an infinite
+    entry, zero tails that the batch lacks, and in the second sheet twelve
+    decades within rows and row maxima of 1e-300 and 1e300."""
     for n in (1, 3, 8, 9, 17):
         b = rng.standard_normal((2, 6, n))
         b[1] *= 10.0 ** rng.uniform(-6, 6, (6, n))
@@ -442,20 +531,54 @@ def _witness_batches(rng):
         b[0, 1, rng.integers(n)] = np.nan
         b[:, 2, n // 2 + 1:] = 0.0
         b[0, 3, 1:] = 0.0
+        b[0, 4, rng.integers(n)] = -np.inf
         for row, peak in ((b[1, 0], 1e-300), (b[1, 1], 1e300)):
             row *= peak / np.abs(row).max()
         yield b
 
 
+def _finite_sheets(b):
+    """The sheets of a corpus batch, each without its NaN and inf rows and
+    once more without its zero rows."""
+    for sheet in b:
+        finite = sheet[np.isfinite(sheet).all(axis=-1)]
+        yield finite
+        yield finite[finite.any(axis=-1)]
+
+
 @pytest.mark.parametrize("family", _WITNESS_FAMILIES,
                          ids=[f.label for f in _WITNESS_FAMILIES])
 def test_lp_support_maps_keep_their_bits(family):
-    for b in _witness_batches(np.random.default_rng(47)):
-        _assert_witness_bits(family, b)
-        for sheet in b:
-            _assert_witness_bits(family, sheet)
-            for row in sheet:
-                _assert_witness_bits(family, row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the inf rows
+        for b in _witness_batches(np.random.default_rng(47)):
+            for x in (b, *b, *b.reshape(-1, b.shape[-1]),
+                      *_finite_sheets(b)):
+                _assert_witness_bits(family, x)
+
+
+@pytest.mark.parametrize("family", _WITNESS_FAMILIES,
+                         ids=[f.label for f in _WITNESS_FAMILIES])
+def test_lp_norms_keep_their_bits(family):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the inf rows
+        for b in _witness_batches(np.random.default_rng(53)):
+            for x in (b, *b, *b.reshape(-1, b.shape[-1]),
+                      *_finite_sheets(b)):
+                _assert_norm_bits(family, x)
+
+
+@pytest.mark.parametrize("space_family, family", _SUPPORT_PAIRS,
+                         ids=[f"{f.label}-{g.label}"
+                              for f, g in _SUPPORT_PAIRS])
+def test_mixed_support_maps_keep_their_bits(space_family, family):
+    # NaN and inf rows are left out: their support maps divide NaN by NaN
+    for b in _witness_batches(np.random.default_rng(59)):
+        finite = np.where(np.isfinite(b), b, 0.0)
+        for s in (finite, *finite, *_finite_sheets(b)):
+            if len(s):
+                _assert_support_bits(space_family, family, s)
+                _assert_support_bits(space_family, family, s.swapaxes(-1, -2))
 
 
 @seed(12)
@@ -471,3 +594,27 @@ def test_lp_support_maps_keep_their_bits_property(family, rows, n, decades,
     betas[rng.random((rows, n)) < 0.2] = 0.0
     betas[rng.random(rows) < 0.5, n // 2:] = 0.0
     _assert_witness_bits(family, betas)
+
+
+@seed(13)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SUPPORT_PAIRS), st.integers(1, 3), st.integers(1, 5),
+       st.integers(1, 9), st.floats(0.0, 12.0), st.integers(-300, 300),
+       st.integers(0, 2**32 - 1))
+def test_lp_kernels_keep_their_bits_property(pair, batch, n, d, decades,
+                                            exponent, draw):
+    # norms, support maps and lattice-valued norms of (batch, n, d) tuples
+    # with zero entries, zero rows, zero tails and whole zero tuples
+    space_family, family = pair
+    rng = np.random.default_rng(draw)
+    spread = 10.0 ** rng.uniform(-decades / 2, decades / 2, (batch, n, d))
+    s = rng.standard_normal((batch, n, d)) * spread * 10.0 ** exponent
+    s[rng.random((batch, n, d)) < 0.2] = 0.0
+    s[rng.random((batch, n)) < 0.3] = 0.0
+    s[rng.random(batch) < 0.3, :, d // 2:] = 0.0
+    s[rng.random(batch) < 0.2] = 0.0
+    for x in (s, s[0], s[0, 0]):
+        _assert_norm_bits(family, x)
+        _assert_witness_bits(space_family, x)
+    for x in (s, s[0]):
+        _assert_support_bits(space_family, family, x)

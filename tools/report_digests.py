@@ -1,7 +1,9 @@
-"""Dump the fixed-seed reports of this checkout, or compare two dumps.
+"""Dump the fixed-seed reports of this checkout, compare two dumps, or
+write their digests.
 
     python3 tools/report_digests.py dump OUT.json
     python3 tools/report_digests.py compare A.json B.json
+    python3 tools/report_digests.py digest OUT.json
 
 ``dump`` runs the program from this checkout's src/ and writes, as
 canonical JSON (sorted keys, floats that read back exactly):
@@ -20,13 +22,22 @@ The operations come from bench/workloads.py, which is imported and never
 changed.  ``compare`` prints one line per output that differs, with the
 number of fields that moved and the largest relative change among them,
 and exits 1 when anything differs; for identical dumps it prints nothing.
+
+``digest`` writes numpy's version, the machine (``platform.machine()``),
+the Python version and one sha256 per output, of the output's canonical
+JSON.  tests/data/report_digests.json holds the digests of the committed
+program, and tests/test_report_digests.py recomputes them where numpy,
+Python and the machine match the file's.  A change that moves a value
+regenerates that file with this command.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -117,6 +128,16 @@ def _plain(result):
             for k, v in sorted(vars(result).items())}
 
 
+def digests() -> dict:
+    """The platform and the sha256 of every output's canonical JSON."""
+    import numpy as np
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "python": platform.python_version(),
+            "outputs": {name: hashlib.sha256(json.dumps(
+                thunk(), sort_keys=True).encode()).hexdigest()
+                for name, thunk in outputs()}}
+
+
 def write(path, dump: dict) -> None:
     Path(path).write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")
 
@@ -173,9 +194,13 @@ def main(argv=None) -> int:
     cmp = sub.add_parser("compare")
     cmp.add_argument("a")
     cmp.add_argument("b")
+    sub.add_parser("digest").add_argument("out")
     args = parser.parse_args(argv)
     if args.command == "dump":
         write(args.out, {name: thunk() for name, thunk in outputs()})
+        return 0
+    if args.command == "digest":
+        write(args.out, digests())
         return 0
     return compare(args.a, args.b)
 
