@@ -12,22 +12,18 @@ from .errors import (DescriptorError, DimensionMismatchError, InputError,
 from .seq_lattice import (CustomFamily, DualNormResult, LpFamily,
                           NumericDualFamily, OrliczFamily, OrliczFunction,
                           SeqNormFamily, WeightedLpFamily, conjugate_exponent,
-                          dual_witness, holder_check, kothe_dual,
-                          kothe_dual_norm)
+                          dual_witness, kothe_dual, kothe_dual_norm)
 from .descriptors import family_from_descriptor, parse_gauge
-from .finite_lattice import (DualLattice, FiniteLattice, HomogeneousFunction,
-                             NormedSpace, SupRepresentation, absolute, compose,
-                             homogeneous, join, krivine_apply,
-                             krivine_bound_check, krivine_compose_check,
-                             lattice, lattice_valued_norm, meet, norm_function,
-                             projection, sup_representation)
+from .finite_lattice import (FiniteLattice, HomogeneousFunction, NormedSpace,
+                             SupRepresentation, compose, homogeneous,
+                             krivine_apply, krivine_compose_check, lattice,
+                             lattice_valued_norm, norm_function, projection,
+                             sup_representation)
 from .mixed_norms import (JoinBoundReport, join_bound_check,
-                          lattice_holder_check,
                           mixed_norm_equivalence_check, pointwise_mixed_norm,
-                          riesz_join_check, sequence_pairing,
-                          strong_mixed_norm, tail_profile)
-from .operators import (OperatorInstance, apply, apply_n, operator_norm,
-                        transpose, tuple_lifting_bound_check)
+                          riesz_join_check, strong_mixed_norm, tail_profile)
+from .operators import (OperatorInstance, apply_n, operator_norm, transpose,
+                        tuple_lifting_bound_check)
 from .optimize import AscentBudget, AscentResult, maximize_ratio
 from .constants import (ConstantEstimate, DualityReport, FunctionalNormResult,
                         LevelBound, brute_force_constant, concavity_ratio,

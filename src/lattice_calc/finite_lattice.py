@@ -19,8 +19,6 @@ from .errors import DimensionMismatchError, InputError
 from .seq_lattice import (LpFamily, SeqNormFamily, as_array, dual_witness,
                           kothe_dual)
 
-_SUP_SAMPLES = 10_000
-
 
 class NormedSpace:
     """R^dim carrying a norm family restricted to its dimension."""
@@ -45,7 +43,8 @@ class NormedSpace:
         return float(self.norm_array(as_array(x, (self.dim,), "vector")))
 
     def dual(self) -> "NormedSpace":
-        return NormedSpace(self.dim, kothe_dual(self.family), self.label + "*")
+        """Same coordinates, Koethe-dual norm; a lattice's dual is a lattice."""
+        return type(self)(self.dim, kothe_dual(self.family), self.label + "*")
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -54,48 +53,18 @@ class NormedSpace:
 class FiniteLattice(NormedSpace):
     """Normed space whose order is coordinatewise; the norm must be monotone."""
 
-    def dual(self) -> "DualLattice":
-        return DualLattice(self)
-
-
-class DualLattice(FiniteLattice):
-    """Dual of a finite lattice: same coordinates, Koethe-dual norm."""
-
-    def __init__(self, base: FiniteLattice):
-        super().__init__(base.dim, kothe_dual(base.family), base.label + "*")
-        self.base = base
-
 
 def lattice(dim: int, family: SeqNormFamily, label: str | None = None) -> FiniteLattice:
     return FiniteLattice(dim, family, label)
 
 
-def join(x, y):
-    return np.maximum(np.asarray(x, float), np.asarray(y, float))
-
-
-def meet(x, y):
-    return np.minimum(np.asarray(x, float), np.asarray(y, float))
-
-
-def absolute(x):
-    return np.abs(np.asarray(x, float))
-
-
 @dataclass
 class HomogeneousFunction:
-    """Continuous h: R^arity -> R with h(t*x) = t*h(x) for t >= 0.
-
-    ``func`` is batched: it maps (..., arity) arrays to (...) arrays.
-    ``sup_norm`` is the supremum of |h| over the max-norm unit sphere; exact
-    for projections and norm families, a sampled lower estimate otherwise
-    (``sup_exact`` records which).
-    """
+    """Continuous h: R^arity -> R with h(t*x) = t*h(x) for t >= 0; ``func``
+    is batched, mapping (..., arity) arrays to (...) arrays."""
     arity: int
     func: Callable[[np.ndarray], np.ndarray]
     label: str
-    sup_norm: float
-    sup_exact: bool
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.func(np.asarray(points, dtype=float))
@@ -106,29 +75,18 @@ def projection(arity: int, index: int) -> HomogeneousFunction:
         raise InputError(f"projection index {index} outside arity {arity}")
     return HomogeneousFunction(
         arity, lambda a: np.asarray(a, float)[..., index],
-        f"proj[{index}/{arity}]", 1.0, True)
+        f"proj[{index}/{arity}]")
 
 
 def norm_function(family: SeqNormFamily, arity: int) -> HomogeneousFunction:
     family.check_length(arity)
-    # Monotone norms peak at the all-ones corner of the unit cube.
-    sup = family.norm(np.ones(arity))
     return HomogeneousFunction(arity, family.norm_array,
-                               f"norm[{family.label}/{arity}]", sup, True)
-
-
-def _sampled_cube_sup(func, arity: int, samples: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(samples, arity))
-    tops = np.abs(pts).max(axis=-1)
-    keep = tops > 0
-    pts = pts[keep] / tops[keep, None]
-    return float(np.abs(func(pts)).max())
+                               f"norm[{family.label}/{arity}]")
 
 
 def homogeneous(func: Callable, arity: int, label: str = "h",
-                batched: bool = True, samples: int = _SUP_SAMPLES,
-                seed: int = 0, validate_pairs: int = 256) -> HomogeneousFunction:
+                batched: bool = True,
+                validate_pairs: int = 256) -> HomogeneousFunction:
     """Wrap a user function; non-batched callables are vectorized row by row.
 
     Degree-1 positive homogeneity is probed on seeded (scale, point) pairs
@@ -153,13 +111,11 @@ def homogeneous(func: Callable, arity: int, label: str = "h",
             raise InputError(
                 f"{label} is not positively homogeneous of degree 1 "
                 f"(worst relative deviation {worst:.3e} on sampled pairs)")
-    sup = _sampled_cube_sup(wrapped, arity, samples, seed)
-    return HomogeneousFunction(arity, wrapped, label, sup, False)
+    return HomogeneousFunction(arity, wrapped, label)
 
 
 def compose(outer: HomogeneousFunction,
-            inner: Sequence[HomogeneousFunction],
-            samples: int = _SUP_SAMPLES, seed: int = 0) -> HomogeneousFunction:
+            inner: Sequence[HomogeneousFunction]) -> HomogeneousFunction:
     """outer(inner_1, ..., inner_k) as a single homogeneous function."""
     if len(inner) != outer.arity:
         raise DimensionMismatchError(
@@ -173,9 +129,8 @@ def compose(outer: HomogeneousFunction,
         stacked = np.stack([g.func(a) for g in inner], axis=-1)
         return outer.func(stacked)
 
-    sup = _sampled_cube_sup(func, arity, samples, seed)
     return HomogeneousFunction(arity, func,
-                               f"{outer.label}o({len(inner)} maps)", sup, False)
+                               f"{outer.label}o({len(inner)} maps)")
 
 
 def krivine_apply(h: HomogeneousFunction, rows) -> np.ndarray:
@@ -204,21 +159,8 @@ def krivine_compose_check(inner: Sequence[HomogeneousFunction],
     a = as_array(rows, (None, None), "tuple")
     stage = np.stack([krivine_apply(g, a) for g in inner])
     lhs = krivine_apply(h, stage)
-    rhs = krivine_apply(compose(h, inner, samples=2, seed=0), a)
+    rhs = krivine_apply(compose(h, inner), a)
     return lhs, rhs, bool(np.array_equal(lhs, rhs))
-
-
-def krivine_bound_check(h: HomogeneousFunction, rows, space: NormedSpace,
-                        rtol: float = 1e-9):
-    """Norm of the calculus output against sup_norm(h) times the peak row.
-
-    The sampled sup_norm only ever understates the right side, so a pass is
-    trustworthy regardless of sampling quality.
-    """
-    a = as_array(rows, (h.arity, None), "tuple")
-    lhs = space.norm(krivine_apply(h, a))
-    rhs = h.sup_norm * space.norm(np.abs(a).max(axis=0))
-    return lhs, rhs, bool(lhs <= rhs * (1.0 + rtol) + 1e-300)
 
 
 def dual_ball_pairings(family: SeqNormFamily, rows: np.ndarray, samples: int,

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import InputError
 from .finite_lattice import (FiniteLattice, NormedSpace, dual_ball_pairings,
                              lattice_valued_norm)
-from .reporting import check_record, inputs_digest
-from .seq_lattice import SeqNormFamily, as_array, kothe_dual
+from .seq_lattice import SeqNormFamily, as_array
 
 
 def as_rows(x, dim: int | None = None) -> np.ndarray:
@@ -94,41 +93,6 @@ def tail_profile(family: SeqNormFamily, space: NormedSpace,
             raise InputError("pointwise tails need a lattice")
         return pointwise_mixed_norm_batch(space, family, tails)
     raise InputError(f"unknown tail flavor {flavor!r}")
-
-
-def sequence_pairing(space: NormedSpace, family: SeqNormFamily,
-                     functionals, rows, rtol: float = 1e-9):
-    """sum_j <w_j, phi_j> with its mixed-norm bound report.
-
-    The bound pairs the strong mixed norm of the functionals (dual space,
-    dual family) with the strong mixed norm of the vectors.
-    """
-    s = as_rows(functionals, space.dim)
-    w = as_array(rows, s.shape, "tuple")
-    value = float((s * w).sum())
-    lhs = abs(value)
-    rhs = (strong_mixed_norm(space.dual(), kothe_dual(family), s)
-           * strong_mixed_norm(space, family, w))
-    report = check_record("sequence_pairing", lhs, rhs,
-                          lhs <= rhs * (1.0 + rtol) + 1e-300,
-                          inputs_digest(s, w, family.label, space.label))
-    return value, report
-
-
-def lattice_holder_check(space: FiniteLattice, family: SeqNormFamily,
-                         vectors, functionals,
-                         dual_family: SeqNormFamily | None = None,
-                         rtol: float = 1e-9):
-    """Pointwise pairing bound: sum_j |<x_j, phi_j>| against the inner product
-    of the two lattice-valued norms (family on the vectors, dual family on
-    the functionals)."""
-    x = as_rows(vectors, space.dim)
-    phi = as_array(functionals, x.shape, "tuple")
-    dual_family = dual_family or kothe_dual(family)
-    lhs = float(np.abs((x * phi).sum(axis=1)).sum())
-    rhs = float(lattice_valued_norm(family, x)
-                @ lattice_valued_norm(dual_family, phi))
-    return lhs, rhs, bool(lhs <= rhs * (1.0 + rtol) + 1e-300)
 
 
 def riesz_join_check(functionals, x, trials: int = 100, seed: int = 0,

@@ -37,10 +37,6 @@ class OperatorInstance:
         return self.domain.dim
 
 
-def apply(op: OperatorInstance, w) -> np.ndarray:
-    return op.matrix @ as_array(w, (op.in_dim,), "vector")
-
-
 def apply_n(op: OperatorInstance, rows) -> np.ndarray:
     """Rowwise application to a tuple; leading axes are batches."""
     a = np.asarray(rows, dtype=float)

@@ -856,12 +856,3 @@ def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:
         if zero.any():
             alpha[zero, 0] = 1.0 / family.unit_vector_norm(0, b.shape[-1])
     return alpha
-
-
-def holder_check(family: SeqNormFamily, alpha, beta, rtol: float = 1e-9):
-    """Pairing bound: sum |a_i b_i| against ||a|| times the dual norm of b."""
-    a = as_array(alpha, (None,), "vector")
-    b = as_array(beta, a.shape, "vector")
-    lhs = float(np.abs(a * b).sum())
-    rhs = family.norm(a) * kothe_dual_norm(family, b).value
-    return lhs, rhs, bool(lhs <= rhs * (1.0 + rtol) + 1e-300)

@@ -19,7 +19,7 @@ from lattice_calc import (AscentBudget, LpFamily, OperatorInstance,
                           strong_mixed_norm)
 from lattice_calc.cli import EXIT_OK, main
 from lattice_calc.finite_lattice import sup_representation
-from lattice_calc.mixed_norms import (join_bound_check, lattice_holder_check,
+from lattice_calc.mixed_norms import (join_bound_check,
                                       pointwise_mixed_norm_batch,
                                       strong_mixed_norm_batch)
 from lattice_calc import verification as verif

@@ -23,6 +23,11 @@ def test_all_lists_resolvable_non_module_names():
         assert not isinstance(value, types.ModuleType), name
 
 
+def test_public_names_do_not_grow():
+    # the public API shrinks over time; a new export replaces an old one
+    assert len(lattice_calc.__all__) <= 57
+
+
 def test_benchmark_tracer_installs_and_restores():
     # every module, class and function the tracer wraps must still exist
     # where it looks them up; uninstall puts the originals back

@@ -212,6 +212,18 @@ def test_verify_small_and_deterministic(tmp_path):
                 and "rhs" in c and "holds" in c) for c in report["checks"])
 
 
+def test_verify_at_one_constant_level(tmp_path):
+    # the grid oracle compares level 1 when there is no level 2
+    cfg = _write(tmp_path, "v.json", {"task": "verify", "counts": dict(
+        SMALL_COUNTS, constant_levels=1)})
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--config", cfg, "--seed", "42",
+                 "--out", out]) == EXIT_OK
+    grid = [c for c in json.loads(open(out).read())["checks"]
+            if c["op"] == "constants_grid_oracle_agreement"]
+    assert len(grid) == 1 and grid[0]["holds"]
+
+
 def test_seed_override_changes_probes(tmp_path):
     cfg = _write(tmp_path, "v.json", {"task": "verify", "seed": 1,
                                       "counts": SMALL_COUNTS})

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from lattice_calc import (DimensionMismatchError, DualLattice, FiniteLattice,
-                          LpFamily, NormedSpace, OrliczFamily, absolute,
-                          compose, homogeneous, join, krivine_apply,
-                          krivine_bound_check, krivine_compose_check, lattice,
-                          lattice_valued_norm, meet, norm_function,
-                          parse_gauge, projection, sup_representation)
+from lattice_calc import (DimensionMismatchError, FiniteLattice, LpFamily,
+                          NormedSpace, OrliczFamily, compose, homogeneous,
+                          krivine_apply, krivine_compose_check, lattice,
+                          lattice_valued_norm, norm_function, parse_gauge,
+                          projection, sup_representation)
 
 
 def test_projection_recovery_exact():
@@ -30,14 +29,6 @@ def test_pointwise_join():
                     batched=True)
     got = krivine_apply(h, np.array([[1.0, -1.0], [0.0, 2.0]]))
     assert np.array_equal(got, [1.0, 2.0])
-
-
-def test_lattice_operations_coordinatewise():
-    x = np.array([1.0, -2.0, 0.0])
-    y = np.array([0.0, 3.0, -1.0])
-    assert np.array_equal(join(x, y), [1.0, 3.0, 0.0])
-    assert np.array_equal(meet(x, y), [0.0, -2.0, -1.0])
-    assert np.array_equal(absolute(x), join(x, -x))
 
 
 def test_lattice_valued_norm_values():
@@ -79,7 +70,7 @@ def test_compose_identity_random_sweep():
         n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         rows = rng.standard_normal((n, m))
         cols = rng.standard_normal((2, n))
-        inner = [homogeneous(lambda a, c=c: a @ c, n, batched=True, samples=4)
+        inner = [homogeneous(lambda a, c=c: a @ c, n, batched=True)
                  for c in cols]
         inner.append(norm_function(LpFamily(2), n))
         h = norm_function(LpFamily(1), 3)
@@ -89,29 +80,20 @@ def test_compose_identity_random_sweep():
 
 
 def test_bound_check_projection_and_ones():
+    # the peak bound ||h(x_1, ..., x_n)|| <= sup|h| * ||max_j |x_j| || is an
+    # equality for a projection (sup 1) of unit rows and for the l1 norm
+    # (sup 3 at the all-ones corner) of the all-ones tuple
     X = lattice(2, LpFamily(math.inf))
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    lhs, rhs, holds = krivine_bound_check(projection(2, 0), rows, X)
-    assert holds and lhs == 1.0 and rhs == 1.0
+    assert X.norm(krivine_apply(projection(2, 0), rows)) == 1.0
+    assert X.norm(np.abs(rows).max(axis=0)) == 1.0
     m = 4
     X1 = lattice(m, LpFamily(1))
     ones = np.ones((3, m))
-    lhs, rhs, holds = krivine_bound_check(norm_function(LpFamily(1), 3),
-                                          ones, X1)
-    assert holds
-    assert lhs == pytest.approx(3.0 * m)
-    assert rhs == pytest.approx(3.0 * m)
-
-
-def test_bound_check_random_sweep():
-    for k in range(200):
-        rng = np.random.default_rng(900 + k)
-        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        rows = rng.standard_normal((n, m)) * 2.0
-        X = lattice(m, LpFamily([1, 2, math.inf][k % 3]))
-        h = norm_function(LpFamily([1, 1.5, 2][(k + 1) % 3]), n)
-        _, _, holds = krivine_bound_check(h, rows, X)
-        assert holds
+    assert X1.norm(lattice_valued_norm(LpFamily(1), ones)) \
+        == pytest.approx(3.0 * m)
+    assert LpFamily(1).norm(np.ones(3)) * X1.norm(ones.max(axis=0)) \
+        == pytest.approx(3.0 * m)
 
 
 def test_homogeneity_validated_at_construction():
@@ -119,13 +101,6 @@ def test_homogeneity_validated_at_construction():
     homogeneous(lambda a: a @ np.array([1.0, -2.0]), 2, batched=True)
     with pytest.raises(Exception, match="homogeneous"):
         homogeneous(lambda a: (a ** 2).sum(axis=-1), 2, batched=True)
-
-
-def test_sampled_sup_norm_is_lower_estimate():
-    h = homogeneous(lambda a: np.abs(a).sum(axis=-1), 3, batched=True,
-                    samples=2000, seed=1)
-    assert h.sup_norm <= 3.0 + 1e-12
-    assert h.sup_norm >= 2.5  # cube corners dominate and sampling gets close
 
 
 def test_sup_representation_bounds_and_analytic():
@@ -142,8 +117,7 @@ def test_spaces_and_duals():
     X = lattice(3, LpFamily(3))
     assert isinstance(X, FiniteLattice)
     Xd = X.dual()
-    assert isinstance(Xd, DualLattice)
-    assert Xd.base is X
+    assert isinstance(Xd, FiniteLattice) and Xd.label == X.label + "*"
     # dual norm is the conjugate lp norm: (1 + 1 + 1) ** (2/3) under l1.5
     assert Xd.norm([1.0, 1.0, 1.0]) == pytest.approx(3.0 ** (2.0 / 3.0))
     # pairing bound against the dual norm

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lattice_calc import (AscentBudget, DimensionMismatchError, LpFamily,
-                          OperatorInstance, apply, apply_n, lattice,
+                          OperatorInstance, apply_n, lattice,
                           operator_norm, transpose,
                           tuple_lifting_bound_check)
 from lattice_calc import verification
@@ -23,8 +23,8 @@ def _op(matrix, p_in=2, p_out=2):
 def test_apply_identity_and_zero():
     op = _op(np.eye(3))
     w = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(apply(op, w), w)
-    assert np.array_equal(apply(_op(np.zeros((3, 3))), w), np.zeros(3))
+    assert np.array_equal(apply_n(op, w), w)
+    assert np.array_equal(apply_n(_op(np.zeros((3, 3))), w), np.zeros(3))
 
 
 def test_apply_matches_naive_recompute():
@@ -34,7 +34,7 @@ def test_apply_matches_naive_recompute():
     for _ in range(50):
         w = rng.standard_normal(4)
         naive = [sum(mat[i, j] * w[j] for j in range(4)) for i in range(3)]
-        assert np.allclose(apply(op, w), naive, rtol=1e-13)
+        assert np.allclose(apply_n(op, w), naive, rtol=1e-13)
 
 
 def test_apply_n_rowwise_and_padding():
@@ -45,7 +45,7 @@ def test_apply_n_rowwise_and_padding():
     lifted = apply_n(op, rows)
     assert lifted.shape == (4, 2)
     for j in range(4):
-        assert np.array_equal(lifted[j], apply(op, rows[j]))
+        assert np.array_equal(lifted[j], apply_n(op, rows[j]))
     padded = apply_n(op, np.vstack([rows, np.zeros((1, 3))]))
     assert np.array_equal(padded[:4], lifted)
     assert np.all(padded[4] == 0.0)
@@ -69,8 +69,8 @@ def test_transpose_pairing_identity():
     for _ in range(1000):
         w = rng.standard_normal(4)
         phi = rng.standard_normal(3)
-        lhs = float(apply(op, w) @ phi)
-        rhs = float(w @ apply(ts, phi))
+        lhs = float(apply_n(op, w) @ phi)
+        rhs = float(w @ apply_n(ts, phi))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_shape_validation():
                          lattice(2, LpFamily(2)))
     op = _op(np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
-        apply(op, np.ones(2))
+        apply_n(op, np.ones(2))
     with pytest.raises(DimensionMismatchError):
         apply_n(op, np.ones((2, 2)))
 
