@@ -101,42 +101,51 @@ def _ratio_callables(op: OperatorInstance, family: SeqNormFamily,
 
 
 def _strong_support(space_family: SeqNormFamily, family: SeqNormFamily,
-                    s: np.ndarray) -> np.ndarray:
-    """argmax of sum_j <x_j, s_j> over the strong mixed-norm unit ball:
-    x_j = c_j W_E(s_j) with c = W_Y((<W_E(s_j), s_j>)_j); s is (..., n, d)."""
+                    s: np.ndarray):
+    """argmax x of sum_j <x_j, s_j> over the strong mixed-norm unit ball,
+    x_j = c_j W_E(s_j) with c = W_Y((<W_E(s_j), s_j>)_j), and that max, the
+    pairing <c, (<W_E(s_j), s_j>)_j>; s is (..., n, d)."""
     rows = dual_witness(space_family, s)
     pairings = np.add.reduce(rows * s, axis=-1)
-    return dual_witness(family, pairings)[..., None] * rows
+    coef = dual_witness(family, pairings)
+    return (coef[..., None] * rows,
+            np.add.reduce(coef * pairings, axis=-1))
 
 
 def _pointwise_support(space_family: SeqNormFamily, family: SeqNormFamily,
-                       s: np.ndarray) -> np.ndarray:
-    """argmax of sum_j <x_j, s_j> over the pointwise mixed-norm unit ball:
-    x_j(w) = a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings."""
+                       s: np.ndarray):
+    """argmax x of sum_j <x_j, s_j> over the pointwise mixed-norm unit ball,
+    x_j(w) = a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings,
+    and that max, the pairing of a with them."""
     cols = s.swapaxes(-1, -2)
     fibers = dual_witness(family, cols)
-    scale = dual_witness(space_family, np.add.reduce(fibers * cols, axis=-1))
-    return (scale[..., None] * fibers).swapaxes(-1, -2)
+    pairings = np.add.reduce(fibers * cols, axis=-1)
+    scale = dual_witness(space_family, pairings)
+    return ((scale[..., None] * fibers).swapaxes(-1, -2),
+            np.add.reduce(scale * pairings, axis=-1))
 
 
-def _power_step(op: OperatorInstance, family: SeqNormFamily, flavor: str,
+def _power_maps(op: OperatorInstance, family: SeqNormFamily, flavor: str,
                 n: int):
-    """One power step on flattened n-tuples: the numerator's dual support
-    at T x, pulled back by the transpose, then the denominator's support."""
+    """The lift and pull of a power step on flattened n-tuples: the
+    numerator's dual support at T x with its pairing, the numerator at x,
+    and the denominator's support at y T."""
     mat = op.matrix
     din = op.in_dim
     dom = op.domain.family
     cod_dual = kothe_dual(op.codomain.family)
     fam_dual = kothe_dual(family)
     if flavor == "convexity":
-        lift, pull = _pointwise_support, _strong_support
+        lift_support, pull_support = _pointwise_support, _strong_support
     else:
-        lift, pull = _strong_support, _pointwise_support
+        lift_support, pull_support = _strong_support, _pointwise_support
 
-    def step(z):
-        y_star = lift(cod_dual, fam_dual, z.reshape(-1, n, din) @ mat.T)
-        return pull(dom, family, y_star @ mat).reshape(len(z), -1)
-    return step
+    def lift(z):
+        return lift_support(cod_dual, fam_dual, z.reshape(-1, n, din) @ mat.T)
+
+    def pull(y):
+        return pull_support(dom, family, y @ mat)[0].reshape(len(y), -1)
+    return lift, pull
 
 
 def convexity_ratio(op: OperatorInstance, family: SeqNormFamily, rows) -> float:
@@ -202,9 +211,10 @@ def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
             prev = bounds[-1]
             inits.append(np.vstack([prev.witness, np.zeros((1, din))]))
         inits.extend(_structured_tuples(n, din, level_normals[n - 1]))
+        lift, pull = _power_maps(op, family, flavor, n)
         result = maximize_ratio(numer, denom, n * din, seed=seed + 7919 * n,
-                                budget=budget, inits=inits,
-                                step=_power_step(op, family, flavor, n))
+                                budget=budget, inits=inits, lift=lift,
+                                pull=pull)
         value = result.value
         witness = result.argmax.reshape(n, din)
         if bounds and bounds[-1].value > value:
@@ -375,7 +385,7 @@ def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
     else:
         raise InputError(f"unknown flavor {flavor!r}")
 
-    best = support(space.family, family, s)
+    best, _ = support(space.family, family, s)
     witness = best / norm_batch(space, family, best[None])[0]
     value = abs(float((witness * s).sum()))
     return FunctionalNormResult(value, witness, True)

@@ -84,34 +84,25 @@ def norm_function(family: SeqNormFamily, arity: int) -> HomogeneousFunction:
                                f"norm[{family.label}/{arity}]")
 
 
-def homogeneous(func: Callable, arity: int, label: str = "h",
-                batched: bool = True,
-                validate_pairs: int = 256) -> HomogeneousFunction:
-    """Wrap a user function; non-batched callables are vectorized row by row.
+def homogeneous(func: Callable, arity: int,
+                label: str = "h") -> HomogeneousFunction:
+    """Wrap a user function that maps (..., arity) arrays to (...) arrays.
 
     Degree-1 positive homogeneity is probed on seeded (scale, point) pairs
     at construction; violations are rejected with the worst deviation.
     """
-    if batched:
-        wrapped = func
-    else:
-        def wrapped(a):
-            arr = np.asarray(a, dtype=float)
-            flat = arr.reshape(-1, arr.shape[-1])
-            return np.array([float(func(r)) for r in flat]).reshape(arr.shape[:-1])
-    if validate_pairs:
-        rng = np.random.default_rng(190558)
-        pts = rng.standard_normal((validate_pairs, arity)) * 2.0
-        lam = rng.uniform(0.0, 4.0, validate_pairs)
-        base = np.asarray(wrapped(pts), dtype=float)
-        scaled = np.asarray(wrapped(lam[:, None] * pts), dtype=float)
-        err = np.abs(scaled - lam * base)
-        worst = float((err / np.maximum(np.abs(lam * base), 1e-12)).max())
-        if not np.all(np.isfinite(scaled)) or worst > 1e-9:
-            raise InputError(
-                f"{label} is not positively homogeneous of degree 1 "
-                f"(worst relative deviation {worst:.3e} on sampled pairs)")
-    return HomogeneousFunction(arity, wrapped, label)
+    rng = np.random.default_rng(190558)
+    pts = rng.standard_normal((256, arity)) * 2.0
+    lam = rng.uniform(0.0, 4.0, 256)
+    base = np.asarray(func(pts), dtype=float)
+    scaled = np.asarray(func(lam[:, None] * pts), dtype=float)
+    err = np.abs(scaled - lam * base)
+    worst = float((err / np.maximum(np.abs(lam * base), 1e-12)).max())
+    if not np.all(np.isfinite(scaled)) or worst > 1e-9:
+        raise InputError(
+            f"{label} is not positively homogeneous of degree 1 "
+            f"(worst relative deviation {worst:.3e} on sampled pairs)")
+    return HomogeneousFunction(arity, func, label)
 
 
 def compose(outer: HomogeneousFunction,

@@ -54,28 +54,33 @@ def transpose(op: OperatorInstance) -> OperatorInstance:
 def operator_norm(op: OperatorInstance, budget: AscentBudget | None = None,
                   seed: int = 0, extra_inits=()) -> AscentResult:
     """Power-method estimate of sup ||Tw|| / ||w||, a certified lower bound;
-    the step is w -> W_E(T^t W_{X*}(Tw)), with W the support maps."""
+    the step is w -> W_E(T^t W_{X*}(Tw)), with W the support maps, and
+    <W_{X*}(Tw), Tw> = ||Tw|| is the pairing that tests each step."""
     mat, mat_t = op.matrix, op.matrix.T
     dom, cod = op.domain.family, op.codomain.family
     cod_dual = kothe_dual(cod)
 
     # stacked (1, d) @ (d, m) products: each restart's arithmetic is then
     # independent of how many restarts share the batch
-    def lift(z):
+    def image(z):
         return (z[:, None, :] @ mat_t)[:, 0]
 
     def numer(z):
-        return cod.norm_array(lift(z))
+        return cod.norm_array(image(z))
 
-    def step(z):
-        y_star = dual_witness(cod_dual, lift(z))
+    def lift(z):
+        tz = image(z)
+        y_star = dual_witness(cod_dual, tz)
+        return y_star, np.add.reduce(y_star * tz, axis=-1)
+
+    def pull(y_star):
         return dual_witness(dom, (y_star[:, None, :] @ mat)[:, 0])
 
     inits = [row for row in np.eye(op.in_dim)]
     inits.extend(np.asarray(e, dtype=float).ravel() for e in extra_inits)
     return maximize_ratio(numer, op.domain.norm_array, op.in_dim, seed=seed,
                           budget=budget or AscentBudget(restarts=16, iterations=300),
-                          inits=inits, step=step)
+                          inits=inits, lift=lift, pull=pull)
 
 
 def tuple_lifting_bound_check(op: OperatorInstance, family: SeqNormFamily,

@@ -1,10 +1,14 @@
 """Power iteration for degree-1 homogeneous ratios f(z)/g(z), g > 0 off 0.
 
-The caller's step maps z to a maximizer of the linearization of f at z over
-the unit ball of g, built from support maps (at n = 1, Boyd's power method
-for ||T||_{p->q}).  A restart takes a step only while its ratio strictly
-rises.  Restart r, unless an init fills it, starts from the first normals
-of substream r of the seed, all drawn by one ``substream_normals`` call; a
+A power step is two support maps (at n = 1, Boyd's power method for
+||T||_{p->q}): the caller's ``lift`` maps z to a functional y that norms f
+at z, with its pairing, which is f(z); ``pull`` maps y to the support of
+the unit ball of g, a point of g's unit sphere.  So the pairing at a pulled
+point is its ratio, and a restart takes a step only while its pairing
+strictly rises.  f and g score the starts and, once on the unit sphere,
+the final iterates, so every value is the exact ratio of its witness.
+Restart r, unless an init fills it, starts from the first normals of
+substream r of the seed, all drawn by one ``substream_normals`` call; a
 degenerate start (a zero tuple, say) is redrawn from the next normals of
 its own substream.  Restarts advance in lock step; the callables act row
 by row, so restarts are a prefix of any larger budget.
@@ -46,10 +50,12 @@ class AscentResult:
 
 def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
                    seed: int = 0, budget: AscentBudget | None = None,
-                   inits: Sequence[np.ndarray] = (), *, step: Callable
-                   ) -> AscentResult:
+                   inits: Sequence[np.ndarray] = (), *, lift: Callable,
+                   pull: Callable) -> AscentResult:
     """Best found f/g over R^dim, attained at ``argmax``; the callables map
-    (batch, dim) arrays.  ``inits`` come first, then seeded normals."""
+    batches of rows: f, g and ``lift`` take (batch, dim) arrays, ``lift``
+    returns the supports y and their pairings, and ``pull`` maps a batch
+    of y to (batch, dim).  ``inits`` come first, then seeded normals."""
     def on_sphere(z):  # rows scaled to g = 1 and their ratios, -inf if g = 0
         g = denominator(z)
         if (np.minimum.reduce(g, initial=np.inf) > 0.0
@@ -84,13 +90,16 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
             fresh.reshape(len(bad), -1, dim)[np.arange(len(bad)), block])
         drawn[bad] += 1
     live = np.flatnonzero(val > -np.inf)
+    y, pairing = lift(z[live])
     for _ in range(budget.iterations):
         if not live.size:
             break
-        cand, cval = on_sphere(step(z[live]))
-        up = cval > val[live]
-        live = live[up]
-        z[live], val[live] = cand[up], cval[up]
+        cand = pull(y)
+        y, cpairing = lift(cand)
+        up = cpairing > pairing
+        live, y, pairing = live[up], y[up], cpairing[up]
+        z[live] = cand[up]
+    z, val = on_sphere(z)
     best = int(np.argmax(np.where(np.isnan(val), -np.inf, val)))
     agree = int((val >= val[best] * (1.0 - 1e-4) - 1e-300).sum())
     return AscentResult(float(val[best]), z[best].copy(),

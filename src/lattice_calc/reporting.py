@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -21,12 +22,16 @@ def inputs_digest(*parts) -> str:
 
 def check_record(op: str, lhs: float, rhs: float, holds: bool,
                  digest: str = "", seed=None, **detail) -> dict:
+    """One check; a NaN or infinite ``lhs`` or ``rhs`` is written as None
+    (JSON null, since NaN and Infinity are not JSON) and does not hold."""
+    lhs, rhs = float(lhs), float(rhs)
+    finite = math.isfinite(lhs) and math.isfinite(rhs)
     rec = {
         "op": op,
         "inputs_digest": digest,
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "holds": bool(holds),
+        "lhs": lhs if math.isfinite(lhs) else None,
+        "rhs": rhs if math.isfinite(rhs) else None,
+        "holds": bool(holds) and finite,
         "seed": seed,
     }
     if detail:

@@ -305,10 +305,9 @@ def krivine_suite(counts: dict | None = None, seed: int = 200) -> list[dict]:
         x = rng.standard_normal((n, m))
         coeffs = rng.standard_normal(n)
         h1 = norm_function(LpFamily(1.5), n)
-        h2 = homogeneous(lambda a, c=coeffs: a @ c, n, batched=True)
+        h2 = homogeneous(lambda a, c=coeffs: a @ c, n)
         joined = homogeneous(
-            lambda a, f=h1.func, g=h2.func: np.maximum(f(a), g(a)), n,
-            batched=True)
+            lambda a, f=h1.func, g=h2.func: np.maximum(f(a), g(a)), n)
         lhs = krivine_apply(joined, x)
         rhs = np.maximum(krivine_apply(h1, x), krivine_apply(h2, x))
         join_exact = join_exact and np.array_equal(lhs, rhs)
@@ -323,7 +322,7 @@ def krivine_suite(counts: dict | None = None, seed: int = 200) -> list[dict]:
         n, m = rng.integers(2, 5), rng.integers(2, 5)
         x = rng.standard_normal((n, m))
         cols = rng.standard_normal((3, n))
-        inner = [homogeneous(lambda a, c=c: a @ c, n, batched=True)
+        inner = [homogeneous(lambda a, c=c: a @ c, n)
                  for c in cols]
         inner.append(norm_function(LpFamily(2), n))
         h = norm_function(LpFamily(1), len(inner))

@@ -25,8 +25,7 @@ def test_pointwise_euclidean():
 
 
 def test_pointwise_join():
-    h = homogeneous(lambda a: np.maximum(a[..., 0], a[..., 1]), 2,
-                    batched=True)
+    h = homogeneous(lambda a: np.maximum(a[..., 0], a[..., 1]), 2)
     got = krivine_apply(h, np.array([[1.0, -1.0], [0.0, 2.0]]))
     assert np.array_equal(got, [1.0, 2.0])
 
@@ -56,8 +55,8 @@ def test_compose_identity_with_diagonal_scaling():
     rng = np.random.default_rng(1)
     rows = rng.standard_normal((3, 4))
     coeff = rng.uniform(0.5, 2.0, 3)
-    inner = [homogeneous(lambda a, j=j, c=coeff[j]: c * a[..., j], 3,
-                         batched=True) for j in range(3)]
+    inner = [homogeneous(lambda a, j=j, c=coeff[j]: c * a[..., j], 3)
+             for j in range(3)]
     h = norm_function(LpFamily(1.5), 3)
     lhs, rhs, equal = krivine_compose_check(inner, h, rows)
     assert equal
@@ -70,7 +69,7 @@ def test_compose_identity_random_sweep():
         n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         rows = rng.standard_normal((n, m))
         cols = rng.standard_normal((2, n))
-        inner = [homogeneous(lambda a, c=c: a @ c, n, batched=True)
+        inner = [homogeneous(lambda a, c=c: a @ c, n)
                  for c in cols]
         inner.append(norm_function(LpFamily(2), n))
         h = norm_function(LpFamily(1), 3)
@@ -98,9 +97,9 @@ def test_bound_check_projection_and_ones():
 
 def test_homogeneity_validated_at_construction():
     # linear functionals pass, quadratics are rejected with a diagnostic
-    homogeneous(lambda a: a @ np.array([1.0, -2.0]), 2, batched=True)
+    homogeneous(lambda a: a @ np.array([1.0, -2.0]), 2)
     with pytest.raises(Exception, match="homogeneous"):
-        homogeneous(lambda a: (a ** 2).sum(axis=-1), 2, batched=True)
+        homogeneous(lambda a: (a ** 2).sum(axis=-1), 2)
 
 
 def test_sup_representation_bounds_and_analytic():

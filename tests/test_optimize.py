@@ -16,10 +16,10 @@ import pytest
 
 import lattice_calc.operators as operators
 from lattice_calc import (AscentBudget, InputError, LpFamily,
-                          OperatorInstance, concavity_ratio,
-                          estimate_constant, kothe_dual_norm, lattice,
-                          maximize_ratio, operator_norm)
-from lattice_calc.constants import (_cyclic_tuple, _power_step,
+                          OperatorInstance, OrliczFamily, WeightedLpFamily,
+                          concavity_ratio, estimate_constant, kothe_dual_norm,
+                          lattice, maximize_ratio, operator_norm, parse_gauge)
+from lattice_calc.constants import (_cyclic_tuple, _power_maps,
                                     _ratio_callables, _structured_tuples)
 from lattice_calc.seeding import spawn_rngs
 
@@ -33,8 +33,9 @@ def _on_sphere(numerator, denominator, z):
 
 
 def _sequential_maximize_ratio(numerator, denominator, dim, seed=0,
-                               budget=None, inits=(), *, step):
-    """One restart at a time, each in its own Python loop."""
+                               budget=None, inits=(), *, lift, pull):
+    """One restart at a time, each in its own Python loop: a step while the
+    lift's pairing strictly rises, then the final iterate on the sphere."""
     budget = budget or AscentBudget()
     rngs = spawn_rngs(seed, budget.restarts)
     starts = [np.asarray(z, dtype=float).ravel() for z in inits]
@@ -49,12 +50,15 @@ def _sequential_maximize_ratio(numerator, denominator, dim, seed=0,
                 break
             z, val = _on_sphere(numerator, denominator,
                                 rngs[ridx].standard_normal(dim))
-        for _ in range(budget.iterations if val > -np.inf else 0):
-            cand, cval = _on_sphere(numerator, denominator,
-                                    step(z[None, :])[0])
-            if not cval > val:
-                break
-            z, val = cand, cval
+        if val > -np.inf:
+            y, pairing = lift(z[None, :])
+            for _ in range(budget.iterations):
+                cand = pull(y)
+                y, cpairing = lift(cand)
+                if not cpairing[0] > pairing[0]:
+                    break
+                z, pairing = cand[0], cpairing
+        z, val = _on_sphere(numerator, denominator, z)
         finals.append(val)
         points.append(z)
     best = 0
@@ -119,17 +123,18 @@ def test_ratio_callables_match_sequential(flavor, n, p_in, p_out, p_fam):
     op = _operator(7, p_in, p_out)
     numer, denom = _ratio_callables(op, LpFamily(p_fam), flavor, n)
     inits = _structured_tuples(n, 3, np.random.default_rng(n).standard_normal(6))
+    lift, pull = _power_maps(op, LpFamily(p_fam), flavor, n)
     _assert_identical(numer, denom, 3 * n, seed=11 * n,
                       budget=AscentBudget(12, 200, 0.1), inits=inits,
-                      step=_power_step(op, LpFamily(p_fam), flavor, n))
+                      lift=lift, pull=pull)
 
 
 def test_wider_tuple_matches_sequential():
     op = _operator(9, 1.5, 2.0, shape=(4, 4))
     numer, denom = _ratio_callables(op, LpFamily(3.0), "convexity", 3)
+    lift, pull = _power_maps(op, LpFamily(3.0), "convexity", 3)
     _assert_identical(numer, denom, 12, seed=5,
-                      budget=AscentBudget(6, 150, 0.1),
-                      step=_power_step(op, LpFamily(3.0), "convexity", 3))
+                      budget=AscentBudget(6, 150, 0.1), lift=lift, pull=pull)
 
 
 def test_zero_init_resamples_like_sequential():
@@ -180,8 +185,9 @@ def test_seeded_starts_build_no_generators(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
     operator_norm(op, seed=2)
     numer, denom = _ratio_callables(op, LpFamily(2.0), "convexity", 2)
+    lift, pull = _power_maps(op, LpFamily(2.0), "convexity", 2)
     maximize_ratio(numer, denom, 6, seed=3, budget=AscentBudget(8, 50, 0.1),
-                   step=_power_step(op, LpFamily(2.0), "convexity", 2))
+                   lift=lift, pull=pull)
     estimate_constant(op, LpFamily(2.0), "concavity", 3, seed=5)
     beta = [[0.3, -1.2, 0.0, 2.5], [1.0, 0.5, -0.25, 0.125]]
     kothe_dual_norm(LpFamily(1.5), beta, method="numeric", restarts=40)
@@ -218,6 +224,11 @@ def test_infinite_numerator_stops_like_sequential():
     def numer(z):
         return np.where(z[:, 0] > 0.5, np.inf, base(z))
 
+    def lift(z, base_lift=kw["lift"]):
+        y, pairing = base_lift(z)
+        return y, np.where(z[:, 0] > 0.5, np.inf, pairing)
+
+    kw["lift"] = lift
     kw["inits"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     got = _assert_identical(numer, denom, dim, **kw)
     assert got.restart_values[0] == np.inf
@@ -234,13 +245,13 @@ def test_fewer_restarts_than_inits_matches_sequential():
 def test_restart_prefix_and_determinism():
     op = _operator(10, 1.5, 3.0)
     numer, denom = _ratio_callables(op, LpFamily(2.0), "convexity", 2)
-    step = _power_step(op, LpFamily(2.0), "convexity", 2)
-    small = maximize_ratio(numer, denom, 6, seed=9,
-                           budget=AscentBudget(8, 200, 0.1), step=step)
-    large = maximize_ratio(numer, denom, 6, seed=9,
-                           budget=AscentBudget(16, 200, 0.1), step=step)
-    again = maximize_ratio(numer, denom, 6, seed=9,
-                           budget=AscentBudget(16, 200, 0.1), step=step)
+    lift, pull = _power_maps(op, LpFamily(2.0), "convexity", 2)
+    small = maximize_ratio(numer, denom, 6, seed=9, lift=lift, pull=pull,
+                           budget=AscentBudget(8, 200, 0.1))
+    large = maximize_ratio(numer, denom, 6, seed=9, lift=lift, pull=pull,
+                           budget=AscentBudget(16, 200, 0.1))
+    again = maximize_ratio(numer, denom, 6, seed=9, lift=lift, pull=pull,
+                           budget=AscentBudget(16, 200, 0.1))
     assert _bits(large.restart_values[:8]) == _bits(small.restart_values)
     assert _bits(again.restart_values) == _bits(large.restart_values)
     assert _bits(again.argmax) == _bits(large.argmax)
@@ -254,8 +265,8 @@ def test_values_never_fall_and_witnesses_reproduce(flavor):
     op = _operator(11, 1.5, math.inf)
     fam = LpFamily(3.0)
     numer, denom = _ratio_callables(op, fam, flavor, 2)
-    step = _power_step(op, fam, flavor, 2)
-    path = [maximize_ratio(numer, denom, 6, seed=4, step=step,
+    lift, pull = _power_maps(op, fam, flavor, 2)
+    path = [maximize_ratio(numer, denom, 6, seed=4, lift=lift, pull=pull,
                            budget=AscentBudget(8, k, 0.1))
             for k in range(1, 25)]
     values = np.array([res.restart_values for res in path])
@@ -263,6 +274,70 @@ def test_values_never_fall_and_witnesses_reproduce(flavor):
     for res in path:
         ratio = (numer(res.argmax[None]) / denom(res.argmax[None]))[0]
         assert ratio == pytest.approx(res.value, rel=1e-9)
+
+
+def _power_maps_and_ratios(op, family, n):
+    """(numerator, denominator, lift, pull, dim) of both flavors at level
+    n, and of operator_norm where ``family`` is None."""
+    if family is None:
+        (numer, denom, dim), kw = _norm_call(op, budget=AscentBudget(2, 1))
+        return [(numer, denom, kw["lift"], kw["pull"], dim)]
+    return [(*_ratio_callables(op, family, flavor, n),
+             *_power_maps(op, family, flavor, n), n * op.in_dim)
+            for flavor in ("convexity", "concavity")]
+
+
+_IDENTITY_FAMILIES = [
+    LpFamily(1.0), LpFamily(1.5), LpFamily(3.0), LpFamily(math.inf),
+    WeightedLpFamily(2.5, [0.5, 1.75, 0.8, 1.2, 2.0]),
+    OrliczFamily(parse_gauge("u^2+u^4")), OrliczFamily(parse_gauge("u*exp(u)"))]
+
+
+@pytest.mark.parametrize("family", _IDENTITY_FAMILIES,
+                         ids=lambda f: f.label)
+@pytest.mark.parametrize("role", ["domain", "codomain", "mixing"])
+def test_lift_pairing_is_numerator_and_pull_lands_on_sphere(family, role):
+    # the engine's step test compares lift pairings, so each must be the
+    # numerator at its point, and each pulled point must have denominator 1
+    rng = np.random.default_rng(["domain", "codomain", "mixing"].index(role))
+    sides = {"domain": LpFamily(1.5), "codomain": LpFamily(3.0),
+             "mixing": WeightedLpFamily(2.0, [1.5, 0.75, 1.0])}
+    sides[role] = family
+    op = OperatorInstance(rng.standard_normal((3, 4)),
+                          lattice(4, sides["domain"]),
+                          lattice(3, sides["codomain"]))
+    maps = _power_maps_and_ratios(op, sides["mixing"], 3)
+    if role != "mixing":
+        maps += _power_maps_and_ratios(op, None, 3)
+    for numer, denom, lift, pull, dim in maps:
+        probes = (rng.standard_normal((64, dim))
+                  * 10.0 ** rng.uniform(-3.0, 3.0, (64, 1)))
+        y, pairing = lift(probes)
+        value = numer(probes)
+        assert (np.abs(pairing - value) <= 1e-15 * value).all()
+        assert (np.abs(denom(pull(y)) - 1.0) <= 1e-15).all()
+
+
+@pytest.mark.parametrize("family", [None, LpFamily(1.5), LpFamily(math.inf)])
+def test_restart_values_are_numerators_at_unit_witnesses(family):
+    # the last numerator call scores every restart's final iterate, put on
+    # the unit sphere; those rows are the stored witnesses
+    op = _operator(15, 1.5, 3.0)
+    for numer, denom, lift, pull, dim in _power_maps_and_ratios(op, family, 2):
+        scored = []
+
+        def record(z, numer=numer):
+            scored.append(z)
+            return numer(z)
+
+        got = maximize_ratio(record, denom, dim, seed=8, lift=lift, pull=pull,
+                             budget=AscentBudget(10, 200, 0.1))
+        witnesses = scored[-1]
+        assert len(witnesses) == 10
+        assert _bits(numer(witnesses)) == _bits(got.restart_values)
+        assert np.abs(denom(witnesses) - 1.0).max() <= 1e-15
+        assert _bits(got.argmax) == _bits(
+            witnesses[int(np.argmax(got.restart_values))])
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])

@@ -1,6 +1,7 @@
 """tools/report_digests.py: a dump compared with itself shows nothing,
-a moved field is reported with its relative change, and every output
-still has the digest committed in tests/data/report_digests.json."""
+a moved field is reported with its relative change, values apart from
+witnesses, and every output still has the digest committed in
+tests/data/report_digests.json."""
 
 import importlib.util
 import json
@@ -43,6 +44,32 @@ def test_compare_of_a_dump_with_itself_reports_nothing(tmp_path, capsys):
     assert len(out) == 1 and out[0].startswith(f"{sweep}: 1 field(s) moved")
     assert "at [3]" in out[0]
     assert json.loads(path.read_text()).keys() == dump.keys()
+
+
+def test_compare_reports_values_apart_from_witnesses(tmp_path, capsys):
+    tool = _load_tool()
+    level = {"n": 1, "lower_bound": 2.0, "converged": True,
+             "witness": [[0.5, -0.25]]}
+    before = {"const": {"results": {"per_n": [level]}},
+              "gap": {"checks": [{"lhs": 1e-16, "holds": True}]}}
+    after = json.loads(json.dumps(before))
+    after["const"]["results"]["per_n"][0].update(
+        lower_bound=2.0 * (1.0 + 2.0 ** -50), witness=[[-0.5, -0.25]])
+    after["gap"]["checks"][0]["holds"] = False
+    paths = tmp_path / "a.json", tmp_path / "b.json"
+    tool.write(paths[0], before)
+    tool.write(paths[1], after)
+    assert tool.compare(*paths) == 1
+    const, gap = capsys.readouterr().out.splitlines()
+    assert const.startswith("const: 2 field(s) moved; values: largest "
+                            "relative change 8.88e-16 at "
+                            ".results.per_n[0].lower_bound")
+    assert ("witnesses: largest relative change 2 at "
+            ".results.per_n[0].witness[0][0] (0.5 -> -0.5)") in const
+    assert "other fields" not in const
+    assert gap.startswith("gap: 1 field(s) moved; values: none moved; "
+                          "witnesses: none moved; other fields: largest "
+                          "relative change inf at .checks[0].holds")
 
 
 def test_outputs_match_committed_digests():

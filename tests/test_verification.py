@@ -1,9 +1,12 @@
 """The worst-deviation accumulator behind every ``verify`` record."""
 
+import json
 import math
 
 import numpy as np
 
+import lattice_calc.verification as verification
+from lattice_calc import cli
 from lattice_calc.reporting import check_record, inputs_digest
 from lattice_calc.verification import _Records
 
@@ -52,7 +55,7 @@ def test_nan_after_finite_deviations_fails():
     acc.feed("family_homogeneity", np.array([1e-15, np.nan, 3e-15]))
     acc.close("family_homogeneity", 1e-9, "custom", 50)
     (rec,) = acc.records
-    assert math.isnan(rec["lhs"]) and not rec["holds"]
+    assert rec["lhs"] is None and not rec["holds"]
 
 
 def test_finite_deviation_after_nan_still_fails():
@@ -62,7 +65,33 @@ def test_finite_deviation_after_nan_still_fails():
     acc.close("krivine_triangle", 1e-12, "all", 8, 5.0)
     acc.close("holder_bound", 1e-9, "l2", 4, np.array([np.nan]), -1.0,
               floor=-np.inf)
-    assert all(math.isnan(r["lhs"]) and not r["holds"] for r in acc.records)
+    assert all(r["lhs"] is None and not r["holds"] for r in acc.records)
+
+
+def test_non_finite_records_are_strict_json(monkeypatch, tmp_path):
+    # NaN and Infinity are not JSON: such a check is written with null and
+    # fails, so a strict parser reads the whole report
+    def suite(counts, seed):
+        acc = _Records(seed)
+        acc.close("family_homogeneity", 1e-9, "custom", 4,
+                  np.array([1e-15, np.nan]))
+        acc.records.append(check_record("unbounded", 0.5, math.inf, True))
+        return acc.records
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    monkeypatch.setattr(verification, "SUITES", {"norm_families": suite})
+    config, out = tmp_path / "verify.json", tmp_path / "report.json"
+    config.write_text('{"task": "verify"}')
+    assert cli.main(["verify", "--config", str(config),
+                     "--out", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    nan_rec, inf_rec = report["checks"]
+    assert nan_rec["lhs"] is None and nan_rec["rhs"] == 1e-9
+    assert inf_rec["lhs"] == 0.5 and inf_rec["rhs"] is None
+    assert not nan_rec["holds"] and not inf_rec["holds"]
+    assert not report["passed"]
 
 
 def test_close_forgets_the_op():

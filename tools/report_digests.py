@@ -20,8 +20,14 @@ canonical JSON (sorted keys, floats that read back exactly):
 
 The operations come from bench/workloads.py, which is imported and never
 changed.  ``compare`` prints one line per output that differs, with the
-number of fields that moved and the largest relative change among them,
-and exits 1 when anything differs; for identical dumps it prints nothing.
+number of fields that moved and two figures: the largest relative change
+among reported values (``lower_bound``, ``overall``, ``convex_n``,
+``concave_dual_n``, ``dual_norm``, a check's ``lhs``, an ascent's
+``value`` and ``restart_values``) and, apart from it, the largest change
+among witness coordinates (``witness``, ``argmax``), which can move far
+between maximizers of one value.  A move in any other field is reported
+as a third figure.  It exits 1 when anything differs; for identical dumps
+it prints nothing.
 
 ``digest`` writes numpy's version, the machine (``platform.machine()``),
 the Python version and one sha256 per output, of the output's canonical
@@ -43,6 +49,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_SEEDS = (1, 2, 3)
+VALUE_KEYS = {"lower_bound", "overall", "convex_n", "concave_dual_n",
+              "dual_norm", "lhs", "value", "restart_values"}
+WITNESS_KEYS = {"witness", "argmax"}
 VERIFY_SEEDS = (0, 42)
 VERIFY_CLI_SEEDS = (1, 2, 3, 44)
 
@@ -142,19 +151,23 @@ def write(path, dump: dict) -> None:
     Path(path).write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")
 
 
-def _changes(a, b, where=""):
-    """(path, relative change, a, b) of every leaf where they differ;
-    a change of type, keys or length counts as an infinite one."""
+def _changes(a, b, where="", kind="other"):
+    """(kind, path, relative change, a, b) of every leaf where they differ;
+    a change of type, keys or length counts as an infinite one.  ``kind``
+    is "value" or "witness" below a key of that class, else "other"."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
-            return [(where, math.inf, sorted(a), sorted(b))]
-        return [c for k in sorted(a) for c in _changes(a[k], b[k],
-                                                       f"{where}.{k}")]
+            return [(kind, where, math.inf, sorted(a), sorted(b))]
+        return [c for k in sorted(a) for c in _changes(
+            a[k], b[k], f"{where}.{k}",
+            "value" if k in VALUE_KEYS else
+            "witness" if k in WITNESS_KEYS else kind)]
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return [(where, math.inf, f"{len(a)} items", f"{len(b)} items")]
+            return [(kind, where, math.inf, f"{len(a)} items",
+                     f"{len(b)} items")]
         return [c for i, (x, y) in enumerate(zip(a, b))
-                for c in _changes(x, y, f"{where}[{i}]")]
+                for c in _changes(x, y, f"{where}[{i}]", kind)]
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                   for v in (a, b))
     if numbers:
@@ -162,10 +175,18 @@ def _changes(a, b, where=""):
             return []
         big = max(abs(a), abs(b))
         rel = abs(a - b) / big if math.isfinite(big) and big > 0 else math.inf
-        return [(where, rel, a, b)]
+        return [(kind, where, rel, a, b)]
     if a == b and type(a) is type(b):
         return []
-    return [(where, math.inf, a, b)]
+    return [(kind, where, math.inf, a, b)]
+
+
+def _largest(changes) -> str:
+    if not changes:
+        return "none moved"
+    _, where, rel, old, new = max(changes, key=lambda c: c[2])
+    return (f"largest relative change {rel:.3g} at {where or '(top)'} "
+            f"({old!r} -> {new!r})")
 
 
 def compare(path_a, path_b) -> int:
@@ -179,10 +200,14 @@ def compare(path_a, path_b) -> int:
             continue
         changes = _changes(a[name], b[name])
         if changes:
-            where, rel, old, new = max(changes, key=lambda c: c[1])
-            print(f"{name}: {len(changes)} field(s) moved, largest "
-                  f"relative change {rel:.3g} at {where or '(top)'} "
-                  f"({old!r} -> {new!r})")
+            figures = []
+            for kind, label in (("value", "values"), ("witness", "witnesses"),
+                                ("other", "other fields")):
+                moved = [c for c in changes if c[0] == kind]
+                if moved or kind != "other":
+                    figures.append(f"{label}: {_largest(moved)}")
+            print(f"{name}: {len(changes)} field(s) moved; "
+                  + "; ".join(figures))
             status = 1
     return status
 
