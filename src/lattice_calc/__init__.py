@@ -15,15 +15,10 @@ from .seq_lattice import (CustomFamily, DualNormResult, LpFamily,
                           dual_witness, kothe_dual, kothe_dual_norm)
 from .descriptors import family_from_descriptor, parse_gauge
 from .finite_lattice import (FiniteLattice, HomogeneousFunction, NormedSpace,
-                             SupRepresentation, compose, homogeneous,
-                             krivine_apply, krivine_compose_check, lattice,
-                             lattice_valued_norm, norm_function, projection,
-                             sup_representation)
-from .mixed_norms import (JoinBoundReport, join_bound_check,
-                          mixed_norm_equivalence_check, pointwise_mixed_norm,
-                          riesz_join_check, strong_mixed_norm, tail_profile)
-from .operators import (OperatorInstance, apply_n, operator_norm, transpose,
-                        tuple_lifting_bound_check)
+                             compose, homogeneous, krivine_apply, lattice,
+                             lattice_valued_norm, norm_function, projection)
+from .mixed_norms import pointwise_mixed_norm, strong_mixed_norm, tail_profile
+from .operators import OperatorInstance, apply_n, operator_norm, transpose
 from .optimize import AscentBudget, AscentResult, maximize_ratio
 from .constants import (ConstantEstimate, DualityReport, FunctionalNormResult,
                         LevelBound, brute_force_constant, concavity_ratio,

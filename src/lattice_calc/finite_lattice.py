@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError
-from .seq_lattice import (LpFamily, SeqNormFamily, as_array, dual_witness,
-                          kothe_dual)
+from .seq_lattice import SeqNormFamily, as_array, kothe_dual
 
 
 class NormedSpace:
@@ -137,58 +136,3 @@ def lattice_valued_norm(family: SeqNormFamily, rows) -> np.ndarray:
         raise InputError(f"expected tuples of shape (..., n, m), got {a.shape}")
     family.check_length(a.shape[-2])
     return family.norm_array(a.swapaxes(-2, -1))
-
-
-def krivine_compose_check(inner: Sequence[HomogeneousFunction],
-                          h: HomogeneousFunction, rows):
-    """Composing inside or outside the calculus gives the same element.
-
-    lhs applies each inner map first and h to the resulting tuple; rhs
-    applies the composed function directly.  In the pointwise realization
-    these are the same arithmetic, so equality is exact.
-    """
-    a = as_array(rows, (None, None), "tuple")
-    stage = np.stack([krivine_apply(g, a) for g in inner])
-    lhs = krivine_apply(h, stage)
-    rhs = krivine_apply(compose(h, inner), a)
-    return lhs, rhs, bool(np.array_equal(lhs, rhs))
-
-
-def dual_ball_pairings(family: SeqNormFamily, rows: np.ndarray, samples: int,
-                       seed: int):
-    """``(combos, winners)``: the rows combined by seeded dual-unit-ball
-    vectors, and for lp families the closed-form maximizer of each
-    coordinate (one row per column of ``rows``; None for other families)."""
-    dual = kothe_dual(family)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, rows.shape[0]))
-    nrm = dual.norm_array(dirs)
-    keep = nrm > 0
-    dirs = dirs[keep] / nrm[keep, None]
-    winners = None
-    if isinstance(family, LpFamily):
-        winners = dual_witness(dual, rows.T)
-    return dirs @ rows, winners
-
-
-@dataclass
-class SupRepresentation:
-    """Lower approximation of the lattice-valued norm by dual-ball pairings."""
-    sampled: np.ndarray
-    reference: np.ndarray
-    analytic: np.ndarray | None
-
-
-def sup_representation(family: SeqNormFamily, rows, samples: int = 64,
-                       seed: int = 0) -> SupRepresentation:
-    """Coordinatewise sup of sum_j a_j x_j over dual-unit-ball vectors a.
-
-    Random directions are normalized in the dual norm, so each pairing is a
-    true lower bound pointwise.  For lp families the per-coordinate
-    maximizers are closed-form and reproduce the norm exactly.
-    """
-    a = as_array(rows, (None, None), "tuple")
-    reference = lattice_valued_norm(family, a)
-    combos, winners = dual_ball_pairings(family, a, samples, seed)
-    analytic = None if winners is None else np.einsum("wn,nw->w", winners, a)
-    return SupRepresentation(combos.max(axis=0), reference, analytic)

@@ -1,8 +1,9 @@
 """Linear operators as matrices with normed domain and codomain.
 
 Transposition swaps the matrix and replaces each side by its dual space.
-Operator norms are power-method estimates (certified lower bounds); every
-check that consumes one is arranged so an underestimate cannot fake a pass.
+Operator norms are power-method estimates (certified lower bounds); the
+``verify`` checks that consume one are arranged so an underestimate cannot
+fake a pass.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .finite_lattice import NormedSpace
-from .mixed_norms import as_rows, strong_mixed_norm
 from .optimize import AscentBudget, AscentResult, maximize_ratio
-from .seq_lattice import SeqNormFamily, as_array, dual_witness, kothe_dual
+from .seq_lattice import as_array, dual_witness, kothe_dual
 
 
 @dataclass
@@ -81,25 +81,3 @@ def operator_norm(op: OperatorInstance, budget: AscentBudget | None = None,
     return maximize_ratio(numer, op.domain.norm_array, op.in_dim, seed=seed,
                           budget=budget or AscentBudget(restarts=16, iterations=300),
                           inits=inits, lift=lift, pull=pull)
-
-
-def tuple_lifting_bound_check(op: OperatorInstance, family: SeqNormFamily,
-                              rows, budget: AscentBudget | None = None,
-                              seed: int = 0, rtol: float = 1e-6):
-    """Strong mixed norm of the lifted tuple against ||T|| times the original.
-
-    The norm estimate is seeded with the tuple's own normalized rows, which
-    already makes the inequality hold with the estimated constant; the check
-    therefore exercises the homogeneity and monotonicity of the norms rather
-    than the optimizer.
-    """
-    a = as_rows(rows, op.in_dim)
-    lifted = apply_n(op, a)
-    base = strong_mixed_norm(op.domain, family, a)
-    row_norms = op.domain.norm_array(a)
-    alive = row_norms > 0
-    extra = a[alive] / row_norms[alive, None]
-    t_est = operator_norm(op, budget, seed, extra_inits=extra).value
-    lhs = strong_mixed_norm(op.codomain, family, lifted)
-    rhs = t_est * base
-    return lhs, rhs, bool(lhs <= rhs * (1.0 + rtol) + 1e-300)

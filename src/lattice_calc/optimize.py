@@ -102,5 +102,9 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
     z, val = on_sphere(z)
     best = int(np.argmax(np.where(np.isnan(val), -np.inf, val)))
     agree = int((val >= val[best] * (1.0 - 1e-4) - 1e-300).sum())
-    return AscentResult(float(val[best]), z[best].copy(),
-                        agree >= min(2, budget.restarts), val.tolist())
+    # after the loop ``live`` holds the restarts that still rose at the last
+    # allowed step: a best restart among them was cut off by the cap,
+    # whatever the restarts agree on
+    converged = agree >= min(2, budget.restarts) and best not in live
+    return AscentResult(float(val[best]), z[best].copy(), converged,
+                        val.tolist())

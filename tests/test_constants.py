@@ -11,7 +11,7 @@ from lattice_calc import (AscentBudget, InputError, LpFamily, OperatorInstance,
                           concavity_ratio, convexity_ratio, duality_check,
                           estimate_constant, functional_norm, kothe_dual,
                           lattice, lattice_constants, parse_gauge,
-                          pointwise_mixed_norm, strong_mixed_norm)
+                          pointwise_mixed_norm, strong_mixed_norm, transpose)
 
 LIGHT = AscentBudget(12, 200, 0.1)
 
@@ -98,6 +98,21 @@ def test_estimate_levels_nondecreasing_and_witnesses():
     for bound in est.per_n:
         assert convexity_ratio(op, LpFamily(1.5), bound.witness) == \
             pytest.approx(bound.value, rel=1e-9)
+
+
+def test_level_still_rising_at_the_cap_is_not_converged():
+    # the best restart of level 2 still rises at the default 500 iterations
+    # (a larger budget finds 2.146886905874126); the restarts agree to 1e-4
+    # all the same, so only the rise at the cap tells that it was cut off
+    mat = [[0.883761190648946, -0.8279961873158785],
+           [-1.1585467696505203, -1.317337290210919]]
+    op = OperatorInstance(mat, lattice(2, LpFamily(1.5)),
+                          lattice(2, LpFamily(1)))
+    est = estimate_constant(transpose(op), kothe_dual(LpFamily(3)),
+                            "concavity", 2)
+    assert [b.value for b in est.per_n] == [2.146835121520581,
+                                            2.146886901168254]
+    assert [b.converged for b in est.per_n] == [True, False]
 
 
 def test_brute_force_identity_and_scalar():

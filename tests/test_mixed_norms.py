@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lattice_calc import (DimensionMismatchError, InputError, LpFamily,
-                          OrliczFamily, join_bound_check, lattice,
-                          lattice_valued_norm, mixed_norm_equivalence_check,
-                          parse_gauge, pointwise_mixed_norm, riesz_join_check,
-                          strong_mixed_norm, tail_profile)
+from lattice_calc import (DimensionMismatchError, LpFamily, OrliczFamily,
+                          lattice, lattice_valued_norm, parse_gauge,
+                          pointwise_mixed_norm, strong_mixed_norm,
+                          tail_profile)
 from lattice_calc.seq_lattice import kothe_dual
 
 # ---------------------------------------------------------------------------
@@ -93,52 +92,26 @@ def test_pointwise_mixed_norm_recomposition():
                 pointwise_oracle(p, fam, x), rel=1e-12)
 
 
-def test_equivalence_check_single_row_and_sweep():
+def test_equivalence_disjoint_l1_equality():
+    # the pointwise norm against the summed row norms: a single row has the
+    # pointwise norm ||e_1|| times its row norm; on disjoint supports an
+    # additive lattice norm makes the two sides coincide
     X = lattice(3, LpFamily(2))
     fam = LpFamily(1.5)
     row = np.array([[1.0, -2.0, 0.5]])
-    tau, summed, holds = mixed_norm_equivalence_check(X, fam, row)
-    assert holds
-    assert tau == pytest.approx(fam.unit_vector_norm(0, 1) * X.norm(row[0]))
-    assert summed == pytest.approx(X.norm(row[0]))
-    rng = np.random.default_rng(4)
-    for k in range(200):
-        x = rng.standard_normal((3, 3)) * 2.0
-        _, _, ok = mixed_norm_equivalence_check(X, fam, x)
-        assert ok
-
-
-@pytest.mark.parametrize("fam", [LpFamily(1.5), LpFamily(3),
-                                 OrliczFamily(parse_gauge("u*exp(u)"))],
-                         ids=["l1.5", "l3", "orlicz_uexp"])
-def test_equivalence_check_batch_equals_tuples(fam):
-    X = lattice(3, LpFamily(2))
-    batch = np.random.default_rng(5).standard_normal((2, 4, 3, 3)) * 2.0
-    batch[0, 1, 2] = 0.0  # a zero row inside one tuple
-    tau, summed, holds = mixed_norm_equivalence_check(X, fam, batch)
-    assert tau.shape == summed.shape == holds.shape == (2, 4)
-    alone = [mixed_norm_equivalence_check(X, fam, x)
-             for x in batch.reshape(-1, 3, 3)]
-    assert all(type(t) is float and type(s) is float and type(h) is bool
-               for t, s, h in alone)
-    for got, want in zip((tau, summed, holds), zip(*alone)):
-        assert got.ravel().tolist() == list(want)
-
-
-def test_equivalence_disjoint_l1_equality():
-    # additive lattice norm on disjoint supports: the two sides coincide
+    assert pointwise_mixed_norm(X, fam, row) == pytest.approx(
+        fam.unit_vector_norm(0, 1) * X.norm(row[0]))
     X = lattice(2, LpFamily(1))
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    tau, summed, holds = mixed_norm_equivalence_check(X, LpFamily(1), x)
-    assert holds
-    assert tau == pytest.approx(summed)
-    # non-disjoint rows in the same setting stay strictly below
+    assert pointwise_mixed_norm(X, LpFamily(1), x) == pytest.approx(
+        X.norm_array(x).sum())
+    # l1 over l1 is additive on any rows; over l2 overlapping rows fall
+    # strictly below the sum
     y = np.array([[1.0, 0.0], [1.0, 1.0]])
-    tau2, summed2, _ = mixed_norm_equivalence_check(X, LpFamily(1), y)
-    assert tau2 == pytest.approx(summed2)  # l1 over l1 is additive anyway
+    assert pointwise_mixed_norm(X, LpFamily(1), y) == pytest.approx(
+        X.norm_array(y).sum())
     X2 = lattice(2, LpFamily(2))
-    tau3, summed3, _ = mixed_norm_equivalence_check(X2, LpFamily(1), y)
-    assert tau3 < summed3
+    assert pointwise_mixed_norm(X2, LpFamily(1), y) < X2.norm_array(y).sum()
 
 
 def test_tail_profile_values_and_monotonicity():
@@ -200,42 +173,6 @@ def test_lattice_holder_single_row():
             assert lhs <= rhs * (1.0 + 1e-12)
             assert rhs == pytest.approx(float(np.abs(x * phi).sum()),
                                         rel=1e-12)
-
-
-def test_riesz_join_single_and_disjoint():
-    phis = np.array([[1.0, 0.5]])
-    x = np.array([2.0, 1.0])
-    jv, gv, ok = riesz_join_check(phis, x, trials=10, seed=0)
-    assert ok and jv == pytest.approx(2.5) and gv == pytest.approx(2.5)
-    phis = np.array([[1.0, 0.0], [0.0, 1.0]])
-    x = np.array([1.0, 1.0])
-    jv, gv, ok = riesz_join_check(phis, x, trials=10, seed=0)
-    assert ok and jv == pytest.approx(2.0)
-
-
-def test_riesz_join_random_sweep():
-    for k in range(200):
-        rng = np.random.default_rng(1000 + k)
-        phis = rng.standard_normal((3, 4))
-        x = np.abs(rng.standard_normal(4))
-        _, _, ok = riesz_join_check(phis, x, trials=25, seed=k)
-        assert ok
-
-
-def test_riesz_join_rejects_negative():
-    with pytest.raises(InputError):
-        riesz_join_check(np.ones((2, 2)), np.array([1.0, -1.0]))
-
-
-def test_join_bound_check_lp():
-    X = lattice(3, LpFamily(2))
-    rng = np.random.default_rng(9)
-    for p in (1.5, 2.0, 3.0):
-        for k in range(30):
-            rows = rng.standard_normal((3, 3)) * 2.0
-            rep = join_bound_check(X, LpFamily(p), rows, samples=16, seed=k)
-            assert rep.holds
-            assert rep.analytic_gap <= 1e-9
 
 
 def test_dimension_mismatches_rejected():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -101,3 +102,54 @@ def test_close_forgets_the_op():
     acc.close("holder_bound", 1e-9, "l2", 4, -0.5, floor=-np.inf)
     assert [r["holds"] for r in acc.records] == [False, True]
     assert acc.records[1]["lhs"] == -0.5
+
+
+def test_run_all_at_two_probes_passes_every_op():
+    # every op, with its tolerance and record count, on any machine (the
+    # committed digests pin the values only where they were taken)
+    counts = dict.fromkeys(verification.DEFAULT_COUNTS, 2)
+    counts["max_length"] = 8
+    report = verification.run_all(counts)
+    records = [r for name, section in report.items() if name != "summary"
+               for r in section]
+    assert report["summary"] == {"checks": 100, "failed": 0, "passed": True}
+    assert all(r["holds"] for r in records)
+    family_ops = {"family_definiteness": 0.0, "family_homogeneity": 1e-9,
+                  "family_monotonicity": 1e-9, "family_triangle": 1e-9,
+                  "family_padding": 0.0}
+    expected = Counter({(op, tol): 9 for op, tol in family_ops.items()})
+    expected.update({
+        ("dual_numeric_vs_analytic", 1e-3): 6, ("holder_bound", 1e-9): 4,
+        ("holder_witness_equality", 1e-9): 3})
+    expected.update({pair: 1 for pair in [
+        ("dual_bidual_l2", 1e-9), ("dual_orlicz_sq_is_l2", 1e-9),
+        ("dual_prefix_monotone", 1e-9), ("dual_zero_tail_equality", 1e-9),
+        ("dual_equals_functional_norm", 1e-6),
+        ("krivine_projection_recovery", 0.0), ("krivine_homogeneity", 1e-12),
+        ("krivine_monotonicity", 1e-12), ("krivine_abs_invariance", 1e-12),
+        ("krivine_triangle", 1e-12), ("krivine_peak_bound", 1e-9),
+        ("krivine_lattice_homomorphism", 1e-12),
+        ("krivine_positive_map_domination", 1e-12),
+        ("krivine_join_preservation", 0.0), ("krivine_compose_identity", 0.0),
+        ("mixed_matched_lp_collapse", 1e-12), ("mixed_zero_padding_exact", 0.0),
+        ("mixed_prefix_monotone", 1e-12), ("mixed_norm_triangle", 1e-12),
+        ("mixed_equivalence_bounds", 0.0),
+        ("tail_profile_nonincreasing", 1e-12),
+        ("sequence_pairing_bound", 1e-9), ("pointwise_pairing_bound", 1e-9),
+        ("join_bound_never_exceeds", 0.0), ("join_analytic_maximizers", 1e-6),
+        ("sup_representation_lower", 1e-9),
+        ("sup_representation_analytic", 1e-6), ("riesz_join_formula", 0.0),
+        ("operator_apply_recompute", 1e-12),
+        ("operator_transpose_pairing", 1e-12),
+        ("operator_norm_transpose_symmetry", 1e-4),
+        ("operator_lifting_bound", 0.0), ("operator_padding_commutes", 0.0),
+        ("constants_identity_matched_lp", 1e-6),
+        ("constants_operator_scaling", 1e-9),
+        ("constants_levels_nondecreasing", 0.0),
+        ("constants_witness_reproduces", 1e-9),
+        ("constants_grid_oracle_agreement", 1e-2),
+        ("duality_identity_gap", 1e-6), ("duality_seeded_gap", 5e-2),
+        ("functional_norm_strong_duality", 1e-3),
+        ("functional_norm_pointwise_duality", 1e-3)]})
+    assert len(expected) == 50
+    assert Counter((r["op"], r["rhs"]) for r in records) == expected
