@@ -5,9 +5,11 @@ pointwise mixed norm of the lifted tuple to the strong mixed norm of the
 original; the concavity constant swaps the roles.  Both are suprema over
 tuples, estimated from below by a power iteration over the support maps of
 the mixed-norm unit balls with seeded restarts, or certified on tiny
-instances by an exhaustive spherical grid.  Duality ties the two flavors
-together: the level-n convexity bound of T and the level-n concavity bound
-of its transpose (under the dual family) estimate the same number.
+instances by an exhaustive spherical grid.  ``_SIDES`` names each
+flavor's two mixed norms once, and ``operators.ratio_problem`` builds the
+ratio from them.  Duality ties the two flavors together: the level-n
+convexity bound of T and the level-n concavity bound of its transpose
+(under the dual family) estimate the same number.
 """
 
 from __future__ import annotations
@@ -19,15 +21,18 @@ import numpy as np
 
 from .errors import InputError, ScaleGuardError
 from .finite_lattice import FiniteLattice, NormedSpace
-from .mixed_norms import (as_rows, pointwise_mixed_norm,
-                          pointwise_mixed_norm_batch, strong_mixed_norm,
-                          strong_mixed_norm_batch)
-from .operators import OperatorInstance, apply_n, transpose
+from .mixed_norms import as_rows, mixed_norm
+from .operators import OperatorInstance, apply_n, ratio_problem, transpose
 from .optimize import AscentBudget, maximize_ratio
 from .seeding import substream_normals
-from .seq_lattice import SeqNormFamily, dual_witness, kothe_dual
+from .seq_lattice import SeqNormFamily, kothe_dual
 
-_FLAVORS = ("convexity", "concavity")
+# per flavor, the mixed norm of T x (top) and that of x (bottom)
+_SIDES = {"convexity": ("pointwise", "strong"),
+          "concavity": ("strong", "pointwise")}
+# brute_force_constant's zoom passes and its cap on grid points
+_REFINE_PASSES = 3
+_MAX_EVALUATIONS = 3_000_000
 
 
 @dataclass
@@ -66,106 +71,32 @@ class ConstantEstimate:
         }
 
 
-def _check_flavor(op: OperatorInstance, flavor: str) -> None:
-    if flavor not in _FLAVORS:
-        raise InputError(f"flavor must be one of {_FLAVORS}, got {flavor!r}")
-    side = op.codomain if flavor == "convexity" else op.domain
-    if not isinstance(side, FiniteLattice):
-        raise InputError(
-            f"{flavor} needs a lattice on the "
-            f"{'codomain' if flavor == 'convexity' else 'domain'} side")
+def _sides(flavor: str) -> tuple[str, str]:
+    if flavor not in _SIDES:
+        raise InputError(f"unknown flavor {flavor!r}, not in {tuple(_SIDES)}")
+    return _SIDES[flavor]
 
 
-def _ratio_callables(op: OperatorInstance, family: SeqNormFamily,
-                     flavor: str, n: int):
-    mat = op.matrix
-    din = op.in_dim
-
-    if flavor == "convexity":
-        def numer(z):
-            return pointwise_mixed_norm_batch(
-                op.codomain, family, z.reshape(-1, n, din) @ mat.T)
-
-        def denom(z):
-            return strong_mixed_norm_batch(op.domain, family,
-                                           z.reshape(-1, n, din))
-    else:
-        def numer(z):
-            return strong_mixed_norm_batch(
-                op.codomain, family, z.reshape(-1, n, din) @ mat.T)
-
-        def denom(z):
-            return pointwise_mixed_norm_batch(op.domain, family,
-                                              z.reshape(-1, n, din))
-    return numer, denom
-
-
-def _strong_support(space_family: SeqNormFamily, family: SeqNormFamily,
-                    s: np.ndarray):
-    """argmax x of sum_j <x_j, s_j> over the strong mixed-norm unit ball,
-    x_j = c_j W_E(s_j) with c = W_Y((<W_E(s_j), s_j>)_j), and that max, the
-    pairing <c, (<W_E(s_j), s_j>)_j>; s is (..., n, d)."""
-    rows = dual_witness(space_family, s)
-    pairings = np.add.reduce(rows * s, axis=-1)
-    coef = dual_witness(family, pairings)
-    return (coef[..., None] * rows,
-            np.add.reduce(coef * pairings, axis=-1))
-
-
-def _pointwise_support(space_family: SeqNormFamily, family: SeqNormFamily,
-                       s: np.ndarray):
-    """argmax x of sum_j <x_j, s_j> over the pointwise mixed-norm unit ball,
-    x_j(w) = a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings,
-    and that max, the pairing of a with them."""
-    cols = s.swapaxes(-1, -2)
-    fibers = dual_witness(family, cols)
-    pairings = np.add.reduce(fibers * cols, axis=-1)
-    scale = dual_witness(space_family, pairings)
-    return ((scale[..., None] * fibers).swapaxes(-1, -2),
-            np.add.reduce(scale * pairings, axis=-1))
-
-
-def _power_maps(op: OperatorInstance, family: SeqNormFamily, flavor: str,
-                n: int):
-    """The lift and pull of a power step on flattened n-tuples: the
-    numerator's dual support at T x with its pairing, the numerator at x,
-    and the denominator's support at y T."""
-    mat = op.matrix
-    din = op.in_dim
-    dom = op.domain.family
-    cod_dual = kothe_dual(op.codomain.family)
-    fam_dual = kothe_dual(family)
-    if flavor == "convexity":
-        lift_support, pull_support = _pointwise_support, _strong_support
-    else:
-        lift_support, pull_support = _strong_support, _pointwise_support
-
-    def lift(z):
-        return lift_support(cod_dual, fam_dual, z.reshape(-1, n, din) @ mat.T)
-
-    def pull(y):
-        return pull_support(dom, family, y @ mat)[0].reshape(len(y), -1)
-    return lift, pull
+def _tuple_ratio(op: OperatorInstance, family: SeqNormFamily, rows,
+                 flavor: str) -> float:
+    top, bottom = _sides(flavor)
+    top_norm, _ = mixed_norm(top, op.codomain)
+    bottom_norm, _ = mixed_norm(bottom, op.domain)
+    a = as_rows(rows, op.in_dim)
+    denom = float(bottom_norm(op.domain, family, a))
+    if denom <= 0.0:
+        raise InputError(f"tuple has zero {bottom} mixed norm")
+    return float(top_norm(op.codomain, family, apply_n(op, a))) / denom
 
 
 def convexity_ratio(op: OperatorInstance, family: SeqNormFamily, rows) -> float:
     """Pointwise mixed norm of the lifted tuple over the strong mixed norm."""
-    _check_flavor(op, "convexity")
-    a = as_rows(rows, op.in_dim)
-    denom = strong_mixed_norm(op.domain, family, a)
-    if denom <= 0.0:
-        raise InputError("tuple has zero strong mixed norm")
-    return pointwise_mixed_norm(op.codomain, family, apply_n(op, a)) / denom
+    return _tuple_ratio(op, family, rows, "convexity")
 
 
 def concavity_ratio(op: OperatorInstance, family: SeqNormFamily, rows) -> float:
     """Strong mixed norm of the lifted tuple over the pointwise mixed norm."""
-    _check_flavor(op, "concavity")
-    a = as_rows(rows, op.in_dim)
-    denom = pointwise_mixed_norm(op.domain, family, a)
-    if denom <= 0.0:
-        raise InputError("tuple has zero pointwise mixed norm")
-    return strong_mixed_norm(op.codomain, family, apply_n(op, a)) / denom
+    return _tuple_ratio(op, family, rows, "concavity")
 
 
 def _cyclic_tuple(n: int, din: int) -> np.ndarray:
@@ -195,7 +126,7 @@ def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
     the reported bounds inherit the prefix monotonicity of the mixed norms
     exactly.  Deterministic for a fixed seed.
     """
-    _check_flavor(op, flavor)
+    top, bottom = _sides(flavor)
     if n_max < 1:
         raise InputError(f"n_max must be positive, got {n_max}")
     budget = budget or AscentBudget()
@@ -205,13 +136,12 @@ def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
     bounds: list[LevelBound] = []
     level_normals = substream_normals(seed, range(n_max), 2 * din)
     for n in range(1, n_max + 1):
-        numer, denom = _ratio_callables(op, family, flavor, n)
+        numer, denom, lift, pull = ratio_problem(op, family, top, bottom, n)
         inits = []
         if bounds:
             prev = bounds[-1]
             inits.append(np.vstack([prev.witness, np.zeros((1, din))]))
         inits.extend(_structured_tuples(n, din, level_normals[n - 1]))
-        lift, pull = _power_maps(op, family, flavor, n)
         result = maximize_ratio(numer, denom, n * din, seed=seed + 7919 * n,
                                 budget=budget, inits=inits, lift=lift,
                                 pull=pull)
@@ -240,9 +170,8 @@ def _sphere_from_angles(angles: np.ndarray, dim: int) -> np.ndarray:
 
 
 def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
-                         flavor: str, n: int, grid_resolution: int = 25,
-                         refine_passes: int = 3,
-                         max_evaluations: int = 3_000_000) -> ConstantEstimate:
+                         flavor: str, n: int,
+                         grid_resolution: int = 25) -> ConstantEstimate:
     """Exhaustive spherical-grid search; certified lower bound plus bracket.
 
     Rows run over an angular grid of the domain unit sphere and relative row
@@ -254,7 +183,7 @@ def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
     slope, doubled) times half the grid cell diagonal; it is an estimate,
     not a proof.
     """
-    _check_flavor(op, flavor)
+    numer, denom, _, _ = ratio_problem(op, family, *_sides(flavor), n)
     din = op.in_dim
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
@@ -283,11 +212,10 @@ def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
         spacings.append((math.pi / 2.0) / (grid_resolution - 1))
 
     total = int(np.prod([len(ax) for ax in axes])) if axes else 1
-    if total > max_evaluations:
+    if total > _MAX_EVALUATIONS:
         raise ScaleGuardError(
-            f"grid would need {total} evaluations (cap {max_evaluations})")
+            f"grid would need {total} evaluations (cap {_MAX_EVALUATIONS})")
 
-    numer, denom = _ratio_callables(op, family, flavor, n)
     row_block = n * (din - 1)
 
     def evaluate(angle_table: np.ndarray):
@@ -330,7 +258,7 @@ def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
     if axes:
         center = angle_table[best]
         widths = np.asarray(spacings, dtype=float)
-        for _ in range(refine_passes):
+        for _ in range(_REFINE_PASSES):
             local = [np.linspace(c - w, c + w, grid_resolution)
                      for c, w in zip(center, widths)]
             mesh = np.meshgrid(*local, indexing="ij")
@@ -347,7 +275,7 @@ def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
 
     meta = {"grid_resolution": grid_resolution, "angles": len(axes),
             "evaluations": evaluations, "spacings": spacings,
-            "refine_passes": refine_passes,
+            "refine_passes": _REFINE_PASSES,
             "lipschitz_estimate": lipschitz, "upper_bracket": upper,
             "method": "spherical-grid"}
     bound = LevelBound(n, lower, witness, True)
@@ -374,17 +302,8 @@ def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
     ``converged`` is true.
     """
     s = as_rows(functionals, space.dim)
-    n = s.shape[0]
-    family.check_length(n)
-    if flavor == "strong":
-        norm_batch, support = strong_mixed_norm_batch, _strong_support
-    elif flavor == "pointwise":
-        if not isinstance(space, FiniteLattice):
-            raise InputError("pointwise functional norms need a lattice")
-        norm_batch, support = pointwise_mixed_norm_batch, _pointwise_support
-    else:
-        raise InputError(f"unknown flavor {flavor!r}")
-
+    family.check_length(s.shape[0])
+    norm_batch, support = mixed_norm(flavor, space)
     best, _ = support(space.family, family, s)
     witness = best / norm_batch(space, family, best[None])[0]
     value = abs(float((witness * s).sum()))

@@ -9,7 +9,9 @@ from a sequence-norm family:
 
 Both are invariant under zero-row padding and nondecreasing in the prefix
 length, which is what lets eventually-zero sequences stand in for the
-infinite-dimensional objects.
+infinite-dimensional objects.  ``mixed_norm`` pairs each with the support
+map of its unit ball, the two halves of a power step; it is the one place
+that refuses the pointwise norm on a space without a lattice order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .finite_lattice import FiniteLattice, NormedSpace, lattice_valued_norm
-from .seq_lattice import SeqNormFamily, as_array
+from .seq_lattice import SeqNormFamily, as_array, dual_witness
 
 
 def as_rows(x, dim: int | None = None) -> np.ndarray:
@@ -48,6 +50,45 @@ def pointwise_mixed_norm(space: FiniteLattice, family: SeqNormFamily, rows) -> f
     return float(pointwise_mixed_norm_batch(space, family, as_rows(rows, space.dim)))
 
 
+def _strong_support(space_family: SeqNormFamily, family: SeqNormFamily,
+                    s: np.ndarray):
+    """argmax x of sum_j <x_j, s_j> over the strong mixed-norm unit ball,
+    x_j = c_j W_E(s_j) with c = W_Y((<W_E(s_j), s_j>)_j), and that max, the
+    pairing <c, (<W_E(s_j), s_j>)_j>; s is (..., n, d)."""
+    rows = dual_witness(space_family, s)
+    pairings = np.add.reduce(rows * s, axis=-1)
+    coef = dual_witness(family, pairings)
+    return (coef[..., None] * rows,
+            np.add.reduce(coef * pairings, axis=-1))
+
+
+def _pointwise_support(space_family: SeqNormFamily, family: SeqNormFamily,
+                       s: np.ndarray):
+    """argmax x of sum_j <x_j, s_j> over the pointwise mixed-norm unit ball,
+    x_j(w) = a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings,
+    and that max, the pairing of a with them."""
+    cols = s.swapaxes(-1, -2)
+    fibers = dual_witness(family, cols)
+    pairings = np.add.reduce(fibers * cols, axis=-1)
+    scale = dual_witness(space_family, pairings)
+    return ((scale[..., None] * fibers).swapaxes(-1, -2),
+            np.add.reduce(scale * pairings, axis=-1))
+
+
+def mixed_norm(name: str, space: NormedSpace):
+    """The batch norm ``(space, family, tuples)`` named "strong" or
+    "pointwise", as the module name reads at call time (wrappers see it),
+    and the support map ``(space family, family, s)`` of its unit ball."""
+    if name == "strong":
+        return strong_mixed_norm_batch, _strong_support
+    if name != "pointwise":
+        raise InputError(f"unknown mixed norm {name!r}, not strong/pointwise")
+    if not isinstance(space, FiniteLattice):
+        raise InputError(f"the pointwise mixed norm needs a lattice, "
+                         f"not {space.label}")
+    return pointwise_mixed_norm_batch, _pointwise_support
+
+
 def tail_profile(family: SeqNormFamily, space: NormedSpace,
                  seq: np.ndarray,
                  flavor: str = "strong") -> np.ndarray:
@@ -56,15 +97,10 @@ def tail_profile(family: SeqNormFamily, space: NormedSpace,
     Positions are kept (the family need not be rearrangement invariant), so
     the profile is exactly nonincreasing and vanishes once the support ends.
     """
+    norm_batch, _ = mixed_norm(flavor, space)
     a = as_rows(seq, space.dim)
     n = a.shape[0]
     tails = np.broadcast_to(a, (n, n, a.shape[1])).copy()
     mask = np.arange(n)[None, :] < np.arange(n)[:, None]
     tails[mask] = 0.0
-    if flavor == "strong":
-        return strong_mixed_norm_batch(space, family, tails)
-    if flavor == "pointwise":
-        if not isinstance(space, FiniteLattice):
-            raise InputError("pointwise tails need a lattice")
-        return pointwise_mixed_norm_batch(space, family, tails)
-    raise InputError(f"unknown tail flavor {flavor!r}")
+    return norm_batch(space, family, tails)

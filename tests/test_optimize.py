@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import lattice_calc.operators as operators
-from lattice_calc import (AscentBudget, InputError, LpFamily,
+from lattice_calc import (AscentBudget, InputError, LpFamily, NormedSpace,
                           OperatorInstance, OrliczFamily, WeightedLpFamily,
                           concavity_ratio, estimate_constant, kothe_dual_norm,
                           lattice, maximize_ratio, operator_norm, parse_gauge)
-from lattice_calc.constants import (_cyclic_tuple, _power_maps,
-                                    _ratio_callables, _structured_tuples)
+from lattice_calc.constants import _SIDES, _cyclic_tuple, _structured_tuples
+from lattice_calc.operators import ratio_problem
 from lattice_calc.seeding import spawn_rngs
 
 
@@ -121,9 +121,9 @@ def test_operator_norm_matches_sequential(p_in, p_out, seed):
 ])
 def test_ratio_callables_match_sequential(flavor, n, p_in, p_out, p_fam):
     op = _operator(7, p_in, p_out)
-    numer, denom = _ratio_callables(op, LpFamily(p_fam), flavor, n)
+    numer, denom, lift, pull = ratio_problem(op, LpFamily(p_fam),
+                                             *_SIDES[flavor], n)
     inits = _structured_tuples(n, 3, np.random.default_rng(n).standard_normal(6))
-    lift, pull = _power_maps(op, LpFamily(p_fam), flavor, n)
     _assert_identical(numer, denom, 3 * n, seed=11 * n,
                       budget=AscentBudget(12, 200, 0.1), inits=inits,
                       lift=lift, pull=pull)
@@ -131,8 +131,8 @@ def test_ratio_callables_match_sequential(flavor, n, p_in, p_out, p_fam):
 
 def test_wider_tuple_matches_sequential():
     op = _operator(9, 1.5, 2.0, shape=(4, 4))
-    numer, denom = _ratio_callables(op, LpFamily(3.0), "convexity", 3)
-    lift, pull = _power_maps(op, LpFamily(3.0), "convexity", 3)
+    numer, denom, lift, pull = ratio_problem(op, LpFamily(3.0),
+                                             *_SIDES["convexity"], 3)
     _assert_identical(numer, denom, 12, seed=5,
                       budget=AscentBudget(6, 150, 0.1), lift=lift, pull=pull)
 
@@ -184,8 +184,8 @@ def test_seeded_starts_build_no_generators(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
     operator_norm(op, seed=2)
-    numer, denom = _ratio_callables(op, LpFamily(2.0), "convexity", 2)
-    lift, pull = _power_maps(op, LpFamily(2.0), "convexity", 2)
+    numer, denom, lift, pull = ratio_problem(op, LpFamily(2.0),
+                                             *_SIDES["convexity"], 2)
     maximize_ratio(numer, denom, 6, seed=3, budget=AscentBudget(8, 50, 0.1),
                    lift=lift, pull=pull)
     estimate_constant(op, LpFamily(2.0), "concavity", 3, seed=5)
@@ -244,8 +244,8 @@ def test_fewer_restarts_than_inits_matches_sequential():
 
 def test_restart_prefix_and_determinism():
     op = _operator(10, 1.5, 3.0)
-    numer, denom = _ratio_callables(op, LpFamily(2.0), "convexity", 2)
-    lift, pull = _power_maps(op, LpFamily(2.0), "convexity", 2)
+    numer, denom, lift, pull = ratio_problem(op, LpFamily(2.0),
+                                             *_SIDES["convexity"], 2)
     small = maximize_ratio(numer, denom, 6, seed=9, lift=lift, pull=pull,
                            budget=AscentBudget(8, 200, 0.1))
     large = maximize_ratio(numer, denom, 6, seed=9, lift=lift, pull=pull,
@@ -264,8 +264,7 @@ def test_values_never_fall_and_witnesses_reproduce(flavor):
     # each restart's value after k iterations is its value along the path
     op = _operator(11, 1.5, math.inf)
     fam = LpFamily(3.0)
-    numer, denom = _ratio_callables(op, fam, flavor, 2)
-    lift, pull = _power_maps(op, fam, flavor, 2)
+    numer, denom, lift, pull = ratio_problem(op, fam, *_SIDES[flavor], 2)
     path = [maximize_ratio(numer, denom, 6, seed=4, lift=lift, pull=pull,
                            budget=AscentBudget(8, k, 0.1))
             for k in range(1, 25)]
@@ -276,15 +275,15 @@ def test_values_never_fall_and_witnesses_reproduce(flavor):
         assert ratio == pytest.approx(res.value, rel=1e-9)
 
 
-def _power_maps_and_ratios(op, family, n):
+def _problems(op, family, n):
     """(numerator, denominator, lift, pull, dim) of both flavors at level
-    n, and of operator_norm where ``family`` is None."""
+    n, and of operator_norm, the strong/strong ratio at level 1, where
+    ``family`` is None."""
     if family is None:
-        (numer, denom, dim), kw = _norm_call(op, budget=AscentBudget(2, 1))
-        return [(numer, denom, kw["lift"], kw["pull"], dim)]
-    return [(*_ratio_callables(op, family, flavor, n),
-             *_power_maps(op, family, flavor, n), n * op.in_dim)
-            for flavor in ("convexity", "concavity")]
+        return [(*ratio_problem(op, LpFamily(1.0), "strong", "strong", 1),
+                 op.in_dim)]
+    return [(*ratio_problem(op, family, *sides, n), n * op.in_dim)
+            for sides in _SIDES.values()]
 
 
 _IDENTITY_FAMILIES = [
@@ -306,9 +305,9 @@ def test_lift_pairing_is_numerator_and_pull_lands_on_sphere(family, role):
     op = OperatorInstance(rng.standard_normal((3, 4)),
                           lattice(4, sides["domain"]),
                           lattice(3, sides["codomain"]))
-    maps = _power_maps_and_ratios(op, sides["mixing"], 3)
+    maps = _problems(op, sides["mixing"], 3)
     if role != "mixing":
-        maps += _power_maps_and_ratios(op, None, 3)
+        maps += _problems(op, None, 3)
     for numer, denom, lift, pull, dim in maps:
         probes = (rng.standard_normal((64, dim))
                   * 10.0 ** rng.uniform(-3.0, 3.0, (64, 1)))
@@ -323,7 +322,7 @@ def test_restart_values_are_numerators_at_unit_witnesses(family):
     # the last numerator call scores every restart's final iterate, put on
     # the unit sphere; those rows are the stored witnesses
     op = _operator(15, 1.5, 3.0)
-    for numer, denom, lift, pull, dim in _power_maps_and_ratios(op, family, 2):
+    for numer, denom, lift, pull, dim in _problems(op, family, 2):
         scored = []
 
         def record(z, numer=numer):
@@ -342,14 +341,19 @@ def test_restart_values_are_numerators_at_unit_witnesses(family):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_operator_norm_closed_form(p):
+    # also between non-lattice normed spaces: operator_norm's two sides are
+    # strong mixed norms at level 1, and a pointwise side would refuse them
     for seed in range(4):
         op = _operator(60 + seed, p, p, shape=(3, 4))
         mat = op.matrix
         exact = {1.0: np.abs(mat).sum(axis=0).max(),
                  2.0: np.linalg.norm(mat, 2),
                  math.inf: np.abs(mat).sum(axis=1).max()}[p]
-        assert operator_norm(op, seed=seed).value == pytest.approx(
-            exact, rel=1e-12)
+        normed = OperatorInstance(mat, NormedSpace(4, LpFamily(p)),
+                                  NormedSpace(3, LpFamily(p)))
+        for inst in (op, normed):
+            assert operator_norm(inst, seed=seed).value == pytest.approx(
+                exact, rel=1e-12)
 
 
 def test_identity_linf_l1_concavity_reaches_cyclic_optimum():

@@ -13,7 +13,7 @@ from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           conjugate_exponent, dual_witness,
                           kothe_dual, kothe_dual_norm, lattice,
                           lattice_valued_norm, parse_gauge, strong_mixed_norm)
-from lattice_calc.constants import _pointwise_support, _strong_support
+from lattice_calc.mixed_norms import _pointwise_support, _strong_support
 
 # ---------------------------------------------------------------------------
 # independent oracles

@@ -16,7 +16,11 @@ canonical JSON (sorted keys, floats that read back exactly):
   start, which is redrawn, at two seeds; ``kothe_dual_norm`` of l1.5 by
   ascent with 40 starts, a vector and a batch; a CLI ``constant`` task on
   a random operator with ``n_max`` 6; a CLI ``duality`` task at seed
-  2^128 + 5.
+  2^128 + 5;
+- ``operator_norm`` with a weighted-lp domain, an Orlicz domain and a zero
+  column, an Amemiya-dual codomain, and between two non-lattice normed
+  spaces; one ``convexity_ratio`` and one ``concavity_ratio``;
+  ``functional_norm`` and ``tail_profile`` of both flavors.
 
 The operations come from bench/workloads.py, which is imported and never
 changed.  ``compare`` prints one line per output that differs, with the
@@ -129,6 +133,52 @@ def _seeded_starts(lc):
            lambda: lc.cli.run({"task": "duality", "operator": random_op,
                                "family": lp(2.0), "n": 2,
                                "seed": 2 ** 128 + 5}))
+    yield from _ratio_outputs(lc)
+
+
+def _ratio_outputs(lc):
+    """Outputs of the mixed-norm ratios outside the bench rounds."""
+    import numpy as np
+
+    rng = np.random.default_rng(2026)
+    orlicz = lc.OrliczFamily(lc.parse_gauge("u^2+u^4"))
+    amemiya = lc.kothe_dual(lc.OrliczFamily(lc.parse_gauge("u*exp(u)")))
+    weighted = lc.WeightedLpFamily(2.5, [0.5, 1.75, 0.8, 1.2])
+    zero_column = rng.standard_normal((3, 3))
+    zero_column[:, 1] = 0.0
+    sides = {
+        "weighted_lp": (rng.standard_normal((3, 4)), lc.lattice(4, weighted),
+                        lc.lattice(3, lc.LpFamily(1.5))),
+        "orlicz_zero_column": (zero_column, lc.lattice(3, orlicz),
+                               lc.lattice(3, lc.LpFamily(2.0))),
+        "amemiya_dual": (rng.standard_normal((3, 3)),
+                         lc.lattice(3, lc.LpFamily(3.0)),
+                         lc.lattice(3, amemiya)),
+        "normed_space": (rng.standard_normal((3, 4)),
+                         lc.NormedSpace(4, lc.LpFamily(3.0)),
+                         lc.NormedSpace(3, lc.LpFamily(1.0))),
+    }
+    for name, (mat, dom, cod) in sides.items():
+        yield (f"seeded/operator_norm/{name}",
+               lambda args=(mat, dom, cod): _plain(lc.operator_norm(
+                   lc.OperatorInstance(*args), seed=3)))
+    op = lc.OperatorInstance(rng.standard_normal((3, 4)),
+                             lc.lattice(4, lc.LpFamily(1.5)),
+                             lc.lattice(3, lc.LpFamily(3.0)))
+    family = lc.LpFamily(2.5)
+    rows = rng.standard_normal((3, 4))
+    yield ("ratio/convexity_ratio",
+           lambda: lc.convexity_ratio(op, family, rows))
+    yield ("ratio/concavity_ratio",
+           lambda: lc.concavity_ratio(op, family, rows))
+    space = lc.lattice(4, weighted)
+    for flavor in ("strong", "pointwise"):
+        yield (f"ratio/functional_norm/{flavor}",
+               lambda flavor=flavor: _plain(lc.functional_norm(
+                   space, orlicz, rows, flavor)))
+        yield (f"ratio/tail_profile/{flavor}",
+               lambda flavor=flavor: lc.tail_profile(
+                   family, space, rows, flavor).tolist())
 
 
 def _plain(result):
