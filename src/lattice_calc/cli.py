@@ -34,8 +34,9 @@ ignored, and "converged" means its value/upper-bound bracket is at most
 integer; a bool is never a number).
 Reports are deterministic for a fixed config (no timestamps), so replaying
 a run yields a byte-identical file.  Exit status: 0 success, 1 a check
-failed, 2 invalid input (malformed fields included), 3 a numeric routine
-did not converge.
+failed, 2 invalid input (malformed fields and scale-guard violations
+included), 3 a numeric routine did not converge; a ``duality`` task exits 3
+when either side's level-n search did not converge, whatever the gap.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from . import __version__
 from .constants import duality_check, estimate_constant
 from .descriptors import family_from_descriptor
-from .errors import InputError
+from .errors import InputError, ScaleGuardError
 from .finite_lattice import krivine_apply, lattice, norm_function, projection
 from .operators import OperatorInstance
 from .optimize import AscentBudget
@@ -63,6 +64,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_NONCONVERGENT = 3
 
 TASKS = ("norm", "dualnorm", "krivine", "constant", "duality", "verify")
+# cap on the entries of a random operator (80 MB of float64)
+_MAX_RANDOM_ENTRIES = 10_000_000
 
 
 def _load_table(source, what: str) -> np.ndarray:
@@ -98,6 +101,10 @@ def _operator(config: dict) -> OperatorInstance:
         rows, cols = (config_field(shape, key, int, low=1, where="random")
                       for key in ("rows", "cols"))
         seed = config_field(shape, "seed", int, 0, low=0, where="random")
+        if rows * cols > _MAX_RANDOM_ENTRIES:
+            raise ScaleGuardError(
+                f"random operator of {rows} x {cols} entries exceeds the "
+                f"cap of {_MAX_RANDOM_ENTRIES}")
         matrix = np.random.default_rng(seed).standard_normal((rows, cols))
     elif "matrix_csv" in raw:
         matrix = _load_table({"csv": raw["matrix_csv"]}, "operator matrix")

@@ -4,12 +4,13 @@ The convexity constant of T at truncation level n is the best ratio of the
 pointwise mixed norm of the lifted tuple to the strong mixed norm of the
 original; the concavity constant swaps the roles.  Both are suprema over
 tuples, estimated from below by a power iteration over the support maps of
-the mixed-norm unit balls with seeded restarts, or certified on tiny
-instances by an exhaustive spherical grid.  ``_SIDES`` names each
-flavor's two mixed norms once, and ``operators.ratio_problem`` builds the
-ratio from them.  Duality ties the two flavors together: the level-n
-convexity bound of T and the level-n concavity bound of its transpose
-(under the dual family) estimate the same number.
+the mixed-norm unit balls with seeded restarts, or, on tiny instances, by
+an exhaustive spherical grid.  Every reported value is a lower bound
+attained by its witness; nothing here proves an upper bound.  ``_SIDES``
+names each flavor's two mixed norms once, and ``operators.ratio_problem``
+builds the ratio from them.  Duality ties the two flavors together: the
+level-n convexity bound of T and the level-n concavity bound of its
+transpose (under the dual family) estimate the same number.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class ConstantEstimate:
     operator_label: str
     per_n: list[LevelBound]
     optimizer: dict
-    certified: bool = False
 
     @property
     def overall(self) -> float:
@@ -62,7 +62,6 @@ class ConstantEstimate:
             "flavor": self.flavor,
             "family": self.family_label,
             "operator": self.operator_label,
-            "certified": self.certified,
             "overall": self.overall,
             "per_n": [{"n": b.n, "lower_bound": b.value,
                        "converged": b.converged,
@@ -172,16 +171,14 @@ def _sphere_from_angles(angles: np.ndarray, dim: int) -> np.ndarray:
 def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
                          flavor: str, n: int,
                          grid_resolution: int = 25) -> ConstantEstimate:
-    """Exhaustive spherical-grid search; certified lower bound plus bracket.
+    """Exhaustive spherical-grid search; a lower bound attained by its witness.
 
     Rows run over an angular grid of the domain unit sphere and relative row
     magnitudes over the positive part of the family unit sphere.  Each
     refinement pass re-grids the cell around the best point at the same
     resolution.  Every evaluated point is an attained ratio, so the best
-    value is a certified lower bound.  The reported upper bracket adds an
-    empirical Lipschitz estimate from the coarse pass (largest neighbor
-    slope, doubled) times half the grid cell diagonal; it is an estimate,
-    not a proof.
+    value is a lower bound attained by its witness; the grid proves no
+    upper bound.
     """
     numer, denom, _, _ = ratio_problem(op, family, *_sides(flavor), n)
     din = op.in_dim
@@ -243,17 +240,6 @@ def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
     lower = float(values[best])
     witness = tuples[best]
 
-    lipschitz = 0.0
-    if axes:
-        grid_shape = tuple(len(ax) for ax in axes)
-        grid_vals = values.reshape(grid_shape)
-        for axis, h in enumerate(spacings):
-            diffs = np.abs(np.diff(grid_vals, axis=axis))
-            if diffs.size:
-                lipschitz = max(lipschitz, float(diffs.max()) / h)
-    half_diag = 0.5 * math.sqrt(sum(h * h for h in spacings))
-    upper = lower + 2.0 * lipschitz * half_diag
-
     # zoom into the best cell; attained values only, so still a lower bound
     if axes:
         center = angle_table[best]
@@ -271,16 +257,12 @@ def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
                 witness = tups[pick]
             center = table[pick]
             widths = widths * (2.0 / (grid_resolution - 1))
-    upper = max(upper, lower)
 
     meta = {"grid_resolution": grid_resolution, "angles": len(axes),
             "evaluations": evaluations, "spacings": spacings,
-            "refine_passes": _REFINE_PASSES,
-            "lipschitz_estimate": lipschitz, "upper_bracket": upper,
-            "method": "spherical-grid"}
+            "refine_passes": _REFINE_PASSES, "method": "spherical-grid"}
     bound = LevelBound(n, lower, witness, True)
-    return ConstantEstimate(flavor, family.label, op.label, [bound], meta,
-                            certified=True)
+    return ConstantEstimate(flavor, family.label, op.label, [bound], meta)
 
 
 @dataclass
@@ -322,17 +304,17 @@ def duality_check(op: OperatorInstance, family: SeqNormFamily, n: int,
                   budget: AscentBudget | None = None,
                   seed: int = 0) -> DualityReport:
     """Level-n convexity bound of T against the level-n concavity bound of
-    its transpose with the dual family; both optimizers share the budget."""
+    its transpose with the dual family; both optimizers share the budget.
+
+    Two lower bounds that agree prove nothing about the sup, so the report
+    is converged only when both level-n searches converged."""
     conv = estimate_constant(op, family, "convexity", n, budget, seed)
     conc = estimate_constant(transpose(op), kothe_dual(family), "concavity",
                              n, budget, seed)
     a = conv.per_n[-1].value
     b = conc.per_n[-1].value
     gap = abs(a - b) / max(a, b, 1e-300)
-    # agreement of the two independent searches is itself convergence
-    # evidence, stronger than either side's restart-consensus heuristic
-    converged = (conv.per_n[-1].converged and conc.per_n[-1].converged) \
-        or gap <= 1e-6
+    converged = conv.per_n[-1].converged and conc.per_n[-1].converged
     return DualityReport(a, b, gap, converged)
 
 

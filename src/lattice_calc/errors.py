@@ -10,7 +10,8 @@ class DimensionMismatchError(InputError):
 
 
 class ScaleGuardError(InputError):
-    """A brute-force search would exceed the desk-scale guard."""
+    """A brute-force search or a random operator would exceed its
+    desk-scale guard."""
 
 
 class DescriptorError(InputError):

@@ -5,9 +5,9 @@ Transposition swaps the matrix and replaces each side by its dual space.
 of T x to a mixed norm of x over n-tuples; the convexity and concavity
 constants are its two mixed pairings, and the operator norm is its
 strong/strong case at n = 1, where both mixed norms are the side norms.
-Operator norms are power-method estimates (certified lower bounds); the
-``verify`` checks that consume one are arranged so an underestimate cannot
-fake a pass.
+Operator norms are power-method estimates (lower bounds attained by their
+witnesses); the ``verify`` checks that consume one are arranged so an
+underestimate cannot fake a pass.
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ def ratio_problem(op: OperatorInstance, family: SeqNormFamily, top: str,
 
 def operator_norm(op: OperatorInstance, budget: AscentBudget | None = None,
                   seed: int = 0, extra_inits=()) -> AscentResult:
-    """Power-method estimate of sup ||Tw|| / ||w||, a certified lower bound:
-    the level-1 strong/strong ratio, whose step is w -> W_E(T^t W_{X*}(Tw)),
-    with W the support maps, and <W_{X*}(Tw), Tw> = ||Tw|| is the pairing
-    that tests each step."""
+    """Power-method estimate of sup ||Tw|| / ||w||, a lower bound attained by
+    its argmax: the level-1 strong/strong ratio, whose step is
+    w -> W_E(T^t W_{X*}(Tw)), with W the support maps, and
+    <W_{X*}(Tw), Tw> = ||Tw|| is the pairing that tests each step."""
     numer, denom, lift, pull = ratio_problem(op, LpFamily(1), "strong",
                                              "strong", 1)
     inits = [row for row in np.eye(op.in_dim)]

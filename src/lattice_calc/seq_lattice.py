@@ -4,8 +4,8 @@ A family assigns a lattice (monotone) norm to R^n for every n, consistently
 under zero padding.  Built-ins: lp, weighted lp, Orlicz (Luxemburg norm) and
 custom oracles.  Koethe duals are closed-form for the lp-type families,
 the Amemiya (Orlicz) norm of the complementary gauge for a Luxemburg norm,
-and otherwise certified lower bounds obtained by ascent over the positive
-part of the unit sphere.
+and otherwise lower bounds, attained by their witnesses, obtained by ascent
+over the positive part of the unit sphere.
 """
 
 from __future__ import annotations
@@ -439,12 +439,12 @@ def _analytic_dual(family: SeqNormFamily) -> SeqNormFamily | None:
 class DualNormResult:
     """Koethe dual norm value with its attaining direction.
 
-    ``value`` is exact for the analytic branch and a certified lower bound
-    for the numeric one.  ``converged`` is always true for the analytic
-    branch; for the Amemiya solve it means that its bracket is at most
-    1e-9 wide, relative, and for the ascent that two or more starts reached
-    the best value.  Both are arrays of the batch shape for a batch of
-    vectors.
+    ``value`` is exact for the analytic branch and a lower bound attained
+    by the witness for the numeric one.  ``converged`` is always true for
+    the analytic branch; for the Amemiya solve it means that its bracket is
+    at most 1e-9 wide, relative, and for the ascent that two or more starts
+    reached the best value.  Both are arrays of the batch shape for a batch
+    of vectors.
     """
     value: float | np.ndarray
     witness: np.ndarray

@@ -618,8 +618,8 @@ def constants_suite(counts: dict | None = None, seed: int = 500) -> list[dict]:
                  abs(ratio - bnd.value) / max(bnd.value, 1e-300))
     acc.close("constants_witness_reproduces", 1e-9, "l2", levels)
 
-    # ascent against the certified grid oracle on a tiny instance, at level
-    # 2 or, with one level only, at level 1
+    # ascent against the grid oracle on a tiny instance, at level 2 or,
+    # with one level only, at level 1
     n = min(2, levels)
     bf = brute_force_constant(op, LpFamily(2), "convexity", n,
                               grid_resolution=15)

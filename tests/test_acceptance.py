@@ -251,7 +251,7 @@ def test_criterion_8_oracle_cross_validation():
             cases += 1
     elapsed = time.time() - t0
     ok = worst <= 1e-2 and elapsed < 180.0
-    _verdict(8, ok, f"ascent vs certified grid on {cases} tiny instances "
+    _verdict(8, ok, f"ascent vs grid oracle on {cases} tiny instances "
                     f"(n*d <= 6): worst disagreement {worst:.2e} at 1e-2, "
                     f"{elapsed:.0f}s (< 3min)")
 

@@ -293,6 +293,11 @@ _MALFORMED = {
     # ran with the default 32 restarts and exit 0
     "budget_restart": {"task": "constant", "family": _L2, "operator": _OP,
                        "budget": {"restart": 1, "iterations": 20}},
+    # numpy's allocation of 728 TiB failed with a traceback; the size guard
+    # rejects it before anything is drawn
+    "random_10^7_square": {"task": "constant", "family": _L2, "operator": {
+        "random": {"rows": 10 ** 7, "cols": 10 ** 7}, "domain": _L2,
+        "codomain": _L2}},
 }
 
 

@@ -20,7 +20,10 @@ canonical JSON (sorted keys, floats that read back exactly):
 - ``operator_norm`` with a weighted-lp domain, an Orlicz domain and a zero
   column, an Amemiya-dual codomain, and between two non-lattice normed
   spaces; one ``convexity_ratio`` and one ``concavity_ratio``;
-  ``functional_norm`` and ``tail_profile`` of both flavors.
+  ``functional_norm`` and ``tail_profile`` of both flavors;
+- ``brute_force_constant``'s lower bound and witness, ``[value, witness]``
+  per level, on the ``verify`` grid instance (verify seed 42, n = 2,
+  resolution 15) and on one 2x2 concavity case of acceptance criterion 8.
 
 The operations come from bench/workloads.py, which is imported and never
 changed.  ``compare`` prints one line per output that differs, with the
@@ -134,6 +137,7 @@ def _seeded_starts(lc):
                                "family": lp(2.0), "n": 2,
                                "seed": 2 ** 128 + 5}))
     yield from _ratio_outputs(lc)
+    yield from _grid_outputs(lc)
 
 
 def _ratio_outputs(lc):
@@ -179,6 +183,29 @@ def _ratio_outputs(lc):
         yield (f"ratio/tail_profile/{flavor}",
                lambda flavor=flavor: lc.tail_profile(
                    family, space, rows, flavor).tolist())
+
+
+def _grid_outputs(lc):
+    """Lower bounds and witnesses of the spherical-grid oracle."""
+    import numpy as np
+
+    def levels(est):
+        return [[b.value, b.witness.tolist()] for b in est.per_n]
+
+    # the constants suite's instance at verify seed 42 (suite seed 547)
+    mat = np.random.default_rng(42 + 5 * 101).standard_normal((2, 2))
+    op = lc.OperatorInstance(mat, lc.lattice(2, lc.LpFamily(2)),
+                             lc.lattice(2, lc.LpFamily(1)))
+    yield ("grid/verify_convexity_n=2",
+           lambda op=op: levels(lc.brute_force_constant(
+               op, lc.LpFamily(2), "convexity", 2, grid_resolution=15)))
+    # criterion 8's seeded case k = 2, concavity side: l1.5 -> l2, Y = l1.5
+    mat = np.random.default_rng(8002).standard_normal((2, 2))
+    op = lc.OperatorInstance(mat, lc.lattice(2, lc.LpFamily(1.5)),
+                             lc.lattice(2, lc.LpFamily(2)))
+    yield ("grid/criterion8_concavity_k=2",
+           lambda op=op: levels(lc.brute_force_constant(
+               op, lc.LpFamily(1.5), "concavity", 2, grid_resolution=21)))
 
 
 def _plain(result):
