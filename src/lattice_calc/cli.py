@@ -10,8 +10,7 @@ major, no header) referenced as {"csv": "path"}.
 Tasks
 -----
 norm       {"family": {...}, "vector": [...]}
-dualnorm   {"family": {...}, "vector": [...], "method": "auto|analytic|numeric",
-            "budget": {"restarts": 32, "iterations": 300, "step0": 0.25}}
+dualnorm   {"family": {...}, "vector": [...]}
 krivine    {"function": {"kind": "projection", "index": 0}
                       | {"kind": "norm", "family": {...}},
             "tuple": [[...], ...]}
@@ -25,13 +24,15 @@ Operators: {"matrix": [[...], ...] | "matrix_csv": "path"
             "domain": <family descriptor>, "codomain": <family descriptor>,
             "label": "T"}
 
-Budget keys are "restarts", "iterations" and "step0" (the initial step of
-the numeric dual ascent); any other key is invalid input.  A numeric
-``dualnorm`` on an Orlicz family is the Amemiya solve (a closed form for a
-linear gauge c*u), which takes no budget: the keys are checked and then
-ignored, and "converged" means its value/upper-bound bracket is at most
-1e-9 wide, relative.  Every field is type-checked ("seed" is a nonnegative
-integer; a bool is never a number).
+A ``dualnorm`` report is the closed form for an lp-type family ("method":
+"analytic") and the Amemiya solve for an Orlicz family ("method":
+"numeric", a closed form for a linear gauge c*u), where "converged" means
+its value/upper-bound bracket is at most 1e-9 wide, relative.  Budget keys
+are "restarts" and "iterations"; "step0", which configs of older versions
+carry, must be positive and has no effect; any other key is invalid input.
+A task ignores the config keys it does not read (a ``dualnorm`` task reads
+neither "method" nor "budget"), and every field it reads is type-checked
+("seed" is a nonnegative integer; a bool is never a number).
 Reports are deterministic for a fixed config (no timestamps), so replaying
 a run yields a byte-identical file.  Exit status: 0 success, 1 a check
 failed, 2 invalid input (malformed fields and scale-guard violations
@@ -83,15 +84,19 @@ def _load_table(source, what: str) -> np.ndarray:
     return as_array(source, (None, None), what)
 
 
-def _budget(config: dict, default: AscentBudget) -> AscentBudget:
+def _budget(config: dict) -> AscentBudget:
     raw = config_field(config, "budget", dict, {})
     unknown = set(raw) - {"restarts", "iterations", "step0"}
     if unknown:
         raise InputError(f"unknown budget keys {sorted(unknown)}")
+    step0 = config_field(raw, "step0", float, 1.0, where="budget")
+    if not step0 > 0:  # accepted for older configs, and otherwise unused
+        raise InputError(f"budget field 'step0' must be positive, got {step0}")
+    default = AscentBudget()
     return AscentBudget(
         config_field(raw, "restarts", int, default.restarts, where="budget"),
-        config_field(raw, "iterations", int, default.iterations, where="budget"),
-        config_field(raw, "step0", float, default.step0, where="budget"))
+        config_field(raw, "iterations", int, default.iterations,
+                     where="budget"))
 
 
 def _operator(config: dict) -> OperatorInstance:
@@ -134,12 +139,7 @@ def _task_norm(config: dict, seed: int) -> tuple[dict, list, bool]:
 def _task_dualnorm(config: dict, seed: int) -> tuple[dict, list, bool]:
     family = _family(config)
     vector = as_array(config_field(config, "vector", list), (None,), "vector")
-    budget = _budget(config, AscentBudget(32, 300, 0.25))
-    res = kothe_dual_norm(family, vector,
-                          config_field(config, "method", str, "auto"),
-                          restarts=budget.restarts,
-                          iterations=budget.iterations, seed=seed,
-                          step0=budget.step0)
+    res = kothe_dual_norm(family, vector)
     results = {"family": family.label, "dual_norm": res.value,
                "method": res.method, "converged": res.converged,
                "witness": res.witness.tolist()}
@@ -166,7 +166,7 @@ def _task_constant(config: dict, seed: int) -> tuple[dict, list, bool]:
     family = _family(config)
     flavor = config_field(config, "flavor", str, "convexity")
     n_max = config_field(config, "n_max", int, 2)
-    budget = _budget(config, AscentBudget())
+    budget = _budget(config)
     est = estimate_constant(op, family, flavor, n_max, budget, seed)
     converged = all(b.converged for b in est.per_n)
     return est.to_record(), [], converged
@@ -176,7 +176,7 @@ def _task_duality(config: dict, seed: int) -> tuple[dict, list, bool]:
     op = _operator(config)
     family = _family(config)
     n = config_field(config, "n", int, 2)
-    budget = _budget(config, AscentBudget())
+    budget = _budget(config)
     tolerance = config_field(config, "gap_tolerance", float, 5e-2, low=0.0)
     rep = duality_check(op, family, n, budget, seed)
     results = {"convex_n": rep.convex_n, "concave_dual_n": rep.concave_dual_n,

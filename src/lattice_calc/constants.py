@@ -34,6 +34,8 @@ _SIDES = {"convexity": ("pointwise", "strong"),
 # brute_force_constant's zoom passes and its cap on grid points
 _REFINE_PASSES = 3
 _MAX_EVALUATIONS = 3_000_000
+# estimate_constant's cap on the entries of its deepest tuple and its image
+_MAX_TUPLE_ENTRIES = 10_000_000
 
 
 @dataclass
@@ -123,11 +125,17 @@ def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
 
     Level n + 1 is seeded with the level-n witness padded by a zero row, so
     the reported bounds inherit the prefix monotonicity of the mixed norms
-    exactly.  Deterministic for a fixed seed.
+    exactly.  Deterministic for a fixed seed.  Where n_max times the
+    larger of T's two dimensions exceeds _MAX_TUPLE_ENTRIES, it raises
+    ScaleGuardError before anything is drawn.
     """
     top, bottom = _sides(flavor)
     if n_max < 1:
         raise InputError(f"n_max must be positive, got {n_max}")
+    if n_max * max(op.matrix.shape) > _MAX_TUPLE_ENTRIES:
+        m, d = op.matrix.shape
+        raise ScaleGuardError(f"{n_max} levels of a {m} x {d} operator exceed "
+                              f"the cap of {_MAX_TUPLE_ENTRIES} tuple entries")
     budget = budget or AscentBudget()
     budget.validate()
     family.check_length(n_max)
@@ -269,7 +277,6 @@ def brute_force_constant(op: OperatorInstance, family: SeqNormFamily,
 class FunctionalNormResult:
     value: float
     witness: np.ndarray
-    converged: bool
 
 
 def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
@@ -280,8 +287,7 @@ def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
     "pointwise" for the functional-calculus one (lattice required).  The
     functional is linear, so its norm is its value at the support map of
     the ball at s, rescaled onto the unit sphere: a lower bound attained by
-    that witness, exact for lp-type families.  Nothing iterates, so
-    ``converged`` is true.
+    that witness, exact for lp-type families.
     """
     s = as_rows(functionals, space.dim)
     family.check_length(s.shape[0])
@@ -289,7 +295,7 @@ def functional_norm(space: NormedSpace, family: SeqNormFamily, functionals,
     best, _ = support(space.family, family, s)
     witness = best / norm_batch(space, family, best[None])[0]
     value = abs(float((witness * s).sum()))
-    return FunctionalNormResult(value, witness, True)
+    return FunctionalNormResult(value, witness)
 
 
 @dataclass

@@ -26,18 +26,16 @@ from .seeding import substream_normals
 
 @dataclass(frozen=True)
 class AscentBudget:
-    """Restarts, iterations, and the numeric dual ascent's first step."""
+    """Restarts and iterations of ``maximize_ratio``."""
     restarts: int = 32
     iterations: int = 500
-    step0: float = 0.1
 
     def validate(self):
         """Counts are integers (numpy's too, but not bool) of at least 1."""
-        counts_ok = all(isinstance(c, Integral) and not isinstance(c, bool)
-                        and c >= 1 for c in (self.restarts, self.iterations))
-        if not counts_ok or not self.step0 > 0:
+        if not all(isinstance(c, Integral) and not isinstance(c, bool)
+                   and c >= 1 for c in (self.restarts, self.iterations)):
             raise InputError("budget needs integer restarts and iterations "
-                             f"of at least 1 and a positive step0, got {self}")
+                             f"of at least 1, got {self}")
 
 
 @dataclass

@@ -17,12 +17,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DescriptorError, DimensionMismatchError, InputError
-from .optimize import AscentBudget
 from .seeding import substream_normals
 
 # Step ceiling of every bracketed Newton solve (``_bracketed_newton``): the
 # Luxemburg norm, and the Amemiya dual's level k and its phi'(u) = k|b_i|.
 NEWTON_STEPS = 16
+
+# kothe_dual_norm's positive-sphere ascent: starts in all and iterations
+_DUAL_RESTARTS = 32
+_DUAL_ITERATIONS = 300
 
 _GAUGE_GRID_MAX = 8.0
 _CONVEXITY_PAIRS = 1000
@@ -439,12 +442,13 @@ def _analytic_dual(family: SeqNormFamily) -> SeqNormFamily | None:
 class DualNormResult:
     """Koethe dual norm value with its attaining direction.
 
-    ``value`` is exact for the analytic branch and a lower bound attained
-    by the witness for the numeric one.  ``converged`` is always true for
-    the analytic branch; for the Amemiya solve it means that its bracket is
-    at most 1e-9 wide, relative, and for the ascent that two or more starts
-    reached the best value.  Both are arrays of the batch shape for a batch
-    of vectors.
+    ``method`` names the branch that ran: "analytic" for a closed form,
+    "numeric" for the Amemiya solve or the ascent.  ``value`` is exact for
+    the analytic branch and a lower bound attained by the witness for the
+    numeric one.  ``converged`` is always true for the analytic branch; for
+    the Amemiya solve it means that its bracket is at most 1e-9 wide,
+    relative, and for the ascent that two or more starts reached the best
+    value.  Both are arrays of the batch shape for a batch of vectors.
     """
     value: float | np.ndarray
     witness: np.ndarray
@@ -477,15 +481,16 @@ def _structured_dual_inits(targets: np.ndarray):
 
 def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
                    inits: Sequence[np.ndarray], iterations: int,
-                   step0: float, static: Sequence[np.ndarray] = ()):
+                   static: Sequence[np.ndarray] = ()):
     """Maximize sum(alpha * target) over {alpha >= 0, ||alpha|| = 1}.
 
     One problem per row of ``targets``; all starts of all problems advance
     in lock step as one stacked batch.  ``static`` starts are normalized
     and scored without iteration (vertex candidates are already exact when
-    they win at all).  Each iterate stays on the unit sphere, so every
-    reported value is a genuine lower bound of the dual norm.  Returns
-    (best values, best witnesses, per-start final values).
+    they win at all).  The first step is 0.25.  Each iterate stays on the
+    unit sphere, so every reported value is a genuine lower bound of the
+    dual norm.  Returns (best values, best witnesses, per-start final
+    values).
     """
     b = np.abs(np.asarray(targets, dtype=float))
     k, n = b.shape
@@ -501,7 +506,7 @@ def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
     a_it = alpha[:live]
     b_it = bb[:live]
     v_it = val[:live]
-    eta = np.full(live, step0)
+    eta = np.full(live, 0.25)
     unit = np.ones(live)
     for _ in range(iterations):
         g = family.norm_gradient(a_it, norms=unit)
@@ -560,7 +565,7 @@ class NumericDualFamily(SeqNormFamily):
 
 
 def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
-                 step0: float, restarts: int = 0, seed: int = 0):
+                 restarts: int = 0, seed: int = 0):
     """Koethe dual norms of the nonnegative rows ``mags`` (k, n) over
     ``base`` by positive-sphere ascent of each max-scaled row from
     ``_structured_dual_inits``, plus seeded starts shared by all rows (the
@@ -578,7 +583,7 @@ def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
         for start in np.abs(substream_normals(seed, range(extra), n)):
             iterated.append(np.repeat(start[None], len(normed), axis=0))
         vals, witness[active], finals = _linear_ascent(
-            base, normed, iterated, iterations, step0, static=static)
+            base, normed, iterated, iterations, static=static)
         out[active] = vals * scale[active]
         agree[active] = (finals * scale[active]
                          >= out[active] * (1.0 - 1e-6)).sum(axis=0)
@@ -710,14 +715,14 @@ def _amemiya_dual(base: OrliczFamily, values):
 def _dual_rows(base: SeqNormFamily, values):
     """Koethe dual norms of ``values`` (leading axes are batches) over
     ``base`` and their nonnegative unit witnesses: the Amemiya solve for an
-    Orlicz base, otherwise ``_ascent_rows`` (150 iterations from step 0.25)
-    on the rows without the trailing zeros that the whole batch has."""
+    Orlicz base, otherwise ``_ascent_rows`` (150 iterations) on the rows
+    without the trailing zeros that the whole batch has."""
     if isinstance(base, OrliczFamily):
         return _amemiya_dual(base, values)[:2]
     a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
     if a.shape[-1] == 0:
         raise InputError("empty vector")
-    out, found, _ = _ascent_rows(base, a.reshape(-1, a.shape[-1]), 150, 0.25)
+    out, found, _ = _ascent_rows(base, a.reshape(-1, a.shape[-1]), 150)
     witness = np.zeros(np.shape(values))
     witness[..., :a.shape[-1]] = found.reshape(a.shape)
     return out.reshape(a.shape[:-1]), witness
@@ -729,52 +734,39 @@ def kothe_dual(family: SeqNormFamily) -> SeqNormFamily:
     return _analytic_dual(family) or NumericDualFamily(family)
 
 
-def kothe_dual_norm(family: SeqNormFamily, beta, method: str = "auto", *,
-                    restarts: int = 32, iterations: int = 300,
-                    seed: int = 0, step0: float = 0.25) -> DualNormResult:
+def kothe_dual_norm(family: SeqNormFamily, beta) -> DualNormResult:
     """sup { sum |alpha_i beta_i| : ||alpha|| <= 1 } on the support of beta.
 
     Leading axes of ``beta`` are batch axes; rows follow the batch contract
-    of README "Numerical contracts".  ``method`` is "auto", "analytic" or
-    "numeric".  The analytic branch covers lp-type families and numeric
-    duals, whose dual is their base; "numeric" on a numeric dual raises
-    InputError.  For an Orlicz family the numeric branch is the Amemiya
-    solve (``_amemiya_dual``), which ignores the budget and ``seed`` once
-    it is valid; otherwise ``_ascent_rows``.
+    of README "Numerical contracts".  The family picks the solver: the
+    closed form where ``_analytic_dual`` has one (lp-type families, and a
+    numeric dual, whose dual is its base), the Amemiya solve
+    (``_amemiya_dual``) for an Orlicz family, and otherwise
+    ``_ascent_rows`` with _DUAL_RESTARTS starts, _DUAL_ITERATIONS
+    iterations and seed 0.
     """
     b = as_array(beta, (..., None), "vector")
     family.check_length(b.shape[-1])
     flat = b.reshape(-1, b.shape[-1])  # a vector is a batch of one
     analytic = _analytic_dual(family)
-    if method == "auto":
-        method = "analytic" if analytic is not None else "numeric"
-    if method == "numeric":
-        AscentBudget(restarts, iterations, step0).validate()
-        if isinstance(family, NumericDualFamily):
-            raise InputError(f"the Koethe dual of {family.label} is its base "
-                             f"family {family.base.label}: use method "
-                             f"\"auto\" or \"analytic\"")
-    if method == "analytic":
-        if analytic is None:
-            raise InputError(f"no analytic Koethe dual known for {family.label}")
+    if analytic is not None:
         value, witness = analytic.norm_array(flat), dual_witness(family, flat)
         converged = np.ones(len(flat), dtype=bool)
-    elif method != "numeric":
-        raise InputError(f"unknown dual method {method!r}")
     elif isinstance(family, OrliczFamily):
         value, witness, upper = _amemiya_dual(family, flat)
         witness = witness * np.sign(flat)
         converged = upper - value <= 1e-9 * value
     else:
-        value, witness, agree = _ascent_rows(family, np.abs(flat), iterations,
-                                             step0, restarts, seed)
+        value, witness, agree = _ascent_rows(family, np.abs(flat),
+                                             _DUAL_ITERATIONS, _DUAL_RESTARTS)
         witness = witness * np.sign(flat)
         converged = (agree >= 2) | ~flat.any(axis=-1)
     rows = b.shape[:-1]
     value, converged = value.reshape(rows), converged.reshape(rows)
     if b.ndim == 1:
         value, converged = float(value), bool(converged)
-    return DualNormResult(value, witness.reshape(b.shape), converged, method)
+    return DualNormResult(value, witness.reshape(b.shape), converged,
+                          "numeric" if analytic is None else "analytic")
 
 
 def dual_witness(family: SeqNormFamily, beta) -> np.ndarray:

@@ -24,8 +24,8 @@ from .optimize import AscentBudget
 from .reporting import check_record, inputs_digest
 from .seeding import spawn_rngs
 from .seq_lattice import (LpFamily, NumericDualFamily, OrliczFamily,
-                          WeightedLpFamily, config_field, dual_witness,
-                          kothe_dual, kothe_dual_norm)
+                          WeightedLpFamily, _ascent_rows, config_field,
+                          dual_witness, kothe_dual, kothe_dual_norm)
 from .descriptors import parse_gauge
 
 DEFAULT_COUNTS = {
@@ -177,9 +177,8 @@ def kothe_suite(counts: dict | None = None, seed: int = 100) -> list[dict]:
         betas = rngs[0].standard_normal((probes, 4)) * 2.0
         ana = kothe_dual(fam).norm_array(betas)
         num = NumericDualFamily(fam).norm_array(betas)
-        ref = kothe_dual_norm(fam, betas[:8], method="analytic").value
-        got = kothe_dual_norm(fam, betas[:8], method="numeric", restarts=12,
-                              iterations=150, seed=seed).value
+        ref = kothe_dual_norm(fam, betas[:8]).value
+        got = _ascent_rows(fam, np.abs(betas[:8]), 150, 12, seed)[0]
         acc.close("dual_numeric_vs_analytic", 1e-3, fam.label, probes,
                   np.abs(num - ana) / np.maximum(ana, 1e-300),
                   np.abs(got - ref) / np.maximum(ref, 1e-300))
@@ -556,7 +555,7 @@ def operator_suite(counts: dict | None = None, seed: int = 400) -> list[dict]:
         rows = rng.standard_normal((3, 2))
         norms = op.domain.norm_array(rows)
         alive = norms > 0
-        t_est = operator_norm(op, AscentBudget(6, 120, 0.2), seed + k,
+        t_est = operator_norm(op, AscentBudget(6, 120), seed + k,
                               extra_inits=rows[alive] / norms[alive, None]).value
         lhs = strong_mixed_norm(op.codomain, l2, apply_n(op, rows))
         rhs = t_est * strong_mixed_norm(op.domain, l2, rows)
@@ -582,7 +581,7 @@ def constants_suite(counts: dict | None = None, seed: int = 500) -> list[dict]:
     counts = _merge_counts(counts)
     acc = _Records(seed)
     levels = counts["constant_levels"]
-    light = AscentBudget(12, 200, 0.1)
+    light = AscentBudget(12, 200)
 
     # identity on matched lp has all levels equal to one
     for p in (1.0, 2.0, np.inf):

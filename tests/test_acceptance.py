@@ -170,7 +170,7 @@ def test_criterion_6_dual_space_isometries():
 
 def test_criterion_7_duality_of_constants():
     t0 = time.time()
-    default = AscentBudget(restarts=32, iterations=500, step0=0.1)
+    default = AscentBudget(restarts=32, iterations=500)
     doubled = dataclasses.replace(default, restarts=2 * default.restarts)
     gaps_default = []
     gaps_doubled = []

@@ -47,7 +47,7 @@ def _reference(gauge, betas):
 
 
 def test_uexp_fixed_vector_converges_through_cli():
-    report = run({"task": "dualnorm", "vector": FIXED, "method": "numeric",
+    report = run({"task": "dualnorm", "vector": FIXED,
                   "family": {"kind": "orlicz", "phi": "u*exp(u)"}})
     assert report["exit_status"] == EXIT_OK
     res = report["results"]
@@ -95,7 +95,7 @@ def test_ascent_never_exceeds_amemiya(gauge):
     fam = OrliczFamily(parse_gauge(gauge))
     betas = np.random.default_rng(6).standard_normal((12, 5))
     amemiya = _amemiya_dual(fam, betas)[0]
-    ascent = _ascent_rows(fam, np.abs(betas), 150, 0.25)[0]
+    ascent = _ascent_rows(fam, np.abs(betas), 150)[0]
     assert np.all(ascent <= amemiya * (1.0 + 1e-12))
 
 
@@ -107,16 +107,6 @@ def test_bracket_brackets_the_oracle():
     assert np.all(value <= ref * (1.0 + 1e-12))
     assert np.all(upper >= ref * (1.0 - 1e-12))
     assert np.all(upper - value <= 1e-9 * value)
-
-
-def test_budget_is_ignored_for_compiled_gauges():
-    fam = OrliczFamily(parse_gauge("u^2+u^4"))
-    a = kothe_dual_norm(fam, FIXED, method="numeric")
-    b = kothe_dual_norm(fam, FIXED, method="numeric", restarts=1,
-                        iterations=1, seed=9, step0=3.0)
-    assert a.value == b.value and np.array_equal(a.witness, b.witness)
-    with pytest.raises(InputError):
-        kothe_dual_norm(fam, FIXED, method="analytic")
 
 
 @pytest.mark.parametrize("gauge", CORPUS)
@@ -207,7 +197,7 @@ def test_power_of_a_power_is_bitwise_the_folded_power():
 
 def test_linear_gauge_dual_through_cli_is_max_over_c():
     vector = [0.3646, -2.2941, 0.0284, 2.2941, -0.5467]
-    report = run({"task": "dualnorm", "vector": vector, "method": "numeric",
+    report = run({"task": "dualnorm", "vector": vector,
                   "family": {"kind": "orlicz", "phi": "2*u"}})
     assert report["exit_status"] == EXIT_OK
     res = report["results"]
@@ -479,7 +469,7 @@ def test_linear_ascent_stall_exit_is_the_fixed_count_ascent():
     fam = CustomFamily(l3, label="l3-oracle")
     targets = np.abs(np.random.default_rng(3).standard_normal((4, 5)))
     iterated, static = _structured_dual_inits(targets)
-    got = _linear_ascent(fam, targets, iterated, 150, 0.25, static)
+    got = _linear_ascent(fam, targets, iterated, 150, static)
     early = len(calls)
     want = _fixed_linear_ascent(fam, targets, iterated, 150, 0.25, static)
     for g, w in zip(got, want):
@@ -611,7 +601,7 @@ def test_orlicz_bases_never_take_the_ascent(monkeypatch):
     betas = np.random.default_rng(25).standard_normal((6, 5))
     for gauge in STRESS + FORMER:
         fam = OrliczFamily(parse_gauge(gauge))
-        res = kothe_dual_norm(fam, betas, method="numeric")
+        res = kothe_dual_norm(fam, betas)
         assert res.converged.all(), gauge
         assert np.array_equal(kothe_dual(fam).norm_array(betas), res.value)
         assert np.array_equal(dual_witness(fam, betas), res.witness)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from lattice_calc import LpFamily
 from lattice_calc.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR,
                               EXIT_NONCONVERGENT, EXIT_OK, main, run)
 from lattice_calc.verification import mixed_suite
@@ -43,10 +44,15 @@ def test_norm_task(tmp_path):
 
 
 def test_dualnorm_task_numeric():
+    # the task reads neither "method" nor "budget": an lp family gets its
+    # closed form, the l_{3/2} norm of (1, 1)
     report = run({"task": "dualnorm", "family": {"kind": "lp", "p": 3},
-                  "vector": [1, 1], "method": "numeric", "seed": 3})
-    assert report["results"]["dual_norm"] == pytest.approx(2 ** (2 / 3),
-                                                           rel=1e-6)
+                  "vector": [1, 1], "method": "numeric", "seed": 3,
+                  "budget": {"restarts": 1, "step0": -1}})
+    closed_form = LpFamily(1.5).norm([1.0, 1.0])
+    assert closed_form == pytest.approx(2 ** (2 / 3), rel=1e-15)
+    assert report["results"]["method"] == "analytic"
+    assert report["results"]["dual_norm"] == closed_form
     assert report["exit_status"] == EXIT_OK
 
 
@@ -173,20 +179,21 @@ def test_malformed_counts_and_budget_exit_2(tmp_path, capsys):
                                       "counts": {"bogus": 1}})
     assert main(["verify", "--config", cfg]) == EXIT_INPUT_ERROR
     assert "bogus" in capsys.readouterr().err
-    cfg = _write(tmp_path, "d.json",
-                 {"task": "dualnorm", "family": {"kind": "lp", "p": 3},
-                  "vector": [1, 1], "method": "numeric", "budget": 5})
-    assert main(["dualnorm", "--config", cfg]) == EXIT_INPUT_ERROR
+    cfg = _write(tmp_path, "c.json",
+                 {"task": "constant", "family": _L2, "operator": _OP,
+                  "budget": 5})
+    assert main(["constant", "--config", cfg]) == EXIT_INPUT_ERROR
     assert "budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("step0", [0, -1])
-def test_dualnorm_nonpositive_step0_exits_2(tmp_path, capsys, step0):
-    cfg = _write(tmp_path, "d.json",
-                 {"task": "dualnorm", "family": {"kind": "lp", "p": 1.5},
-                  "vector": [1.0, -2.0, 0.5], "method": "numeric",
+def test_budget_nonpositive_step0_exits_2(tmp_path, capsys, step0):
+    # step0 steers nothing, but a config that carries one must carry a
+    # positive one
+    cfg = _write(tmp_path, "c.json",
+                 {"task": "constant", "family": _L2, "operator": _OP,
                   "budget": {"step0": step0}})
-    assert main(["dualnorm", "--config", cfg]) == EXIT_INPUT_ERROR
+    assert main(["constant", "--config", cfg]) == EXIT_INPUT_ERROR
     assert "step0" in capsys.readouterr().err
 
 
@@ -277,7 +284,7 @@ _MALFORMED = {
                "vector": [1, 2]},
     "tuple_x": {"task": "krivine", "tuple": [["x"]],
                 "function": {"kind": "projection", "index": 0}},
-    "restarts_x": {"task": "dualnorm", "family": _L2, "vector": [1, 2],
+    "restarts_x": {"task": "constant", "family": _L2, "operator": _OP,
                    "budget": {"restarts": "x"}},
     "phi_5": {"task": "norm", "family": {"kind": "orlicz", "phi": 5},
               "vector": [1]},
@@ -298,6 +305,11 @@ _MALFORMED = {
     "random_10^7_square": {"task": "constant", "family": _L2, "operator": {
         "random": {"rows": 10 ** 7, "cols": 10 ** 7}, "domain": _L2,
         "codomain": _L2}},
+    # the level normals, 2 * n_max * d of them, were drawn before any search
+    "n_max_10^7": {"task": "constant", "family": _L2, "operator": _OP,
+                   "n_max": 10 ** 7},
+    "n_10^7": {"task": "duality", "family": _L2, "operator": _OP,
+               "n": 10 ** 7},
 }
 
 

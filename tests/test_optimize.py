@@ -17,10 +17,11 @@ import pytest
 import lattice_calc.operators as operators
 from lattice_calc import (AscentBudget, InputError, LpFamily, NormedSpace,
                           OperatorInstance, OrliczFamily, WeightedLpFamily,
-                          concavity_ratio, estimate_constant, kothe_dual_norm,
-                          lattice, maximize_ratio, operator_norm, parse_gauge)
+                          concavity_ratio, estimate_constant, lattice,
+                          maximize_ratio, operator_norm, parse_gauge)
 from lattice_calc.constants import _SIDES, _cyclic_tuple, _structured_tuples
 from lattice_calc.operators import ratio_problem
+from lattice_calc.seq_lattice import _ascent_rows
 from lattice_calc.seeding import spawn_rngs
 
 
@@ -110,7 +111,7 @@ def _norm_call(op, **kwargs):
 ])
 def test_operator_norm_matches_sequential(p_in, p_out, seed):
     args, kw = _norm_call(_operator(40 + seed, p_in, p_out), seed=seed,
-                          budget=AscentBudget(16, 300, 0.1))
+                          budget=AscentBudget(16, 300))
     _assert_identical(*args, **kw)
 
 
@@ -125,7 +126,7 @@ def test_ratio_callables_match_sequential(flavor, n, p_in, p_out, p_fam):
                                              *_SIDES[flavor], n)
     inits = _structured_tuples(n, 3, np.random.default_rng(n).standard_normal(6))
     _assert_identical(numer, denom, 3 * n, seed=11 * n,
-                      budget=AscentBudget(12, 200, 0.1), inits=inits,
+                      budget=AscentBudget(12, 200), inits=inits,
                       lift=lift, pull=pull)
 
 
@@ -134,12 +135,12 @@ def test_wider_tuple_matches_sequential():
     numer, denom, lift, pull = ratio_problem(op, LpFamily(3.0),
                                              *_SIDES["convexity"], 3)
     _assert_identical(numer, denom, 12, seed=5,
-                      budget=AscentBudget(6, 150, 0.1), lift=lift, pull=pull)
+                      budget=AscentBudget(6, 150), lift=lift, pull=pull)
 
 
 def test_zero_init_resamples_like_sequential():
     args, kw = _norm_call(_operator(5, 2.0, 1.0), seed=6,
-                          budget=AscentBudget(6, 100, 0.1))
+                          budget=AscentBudget(6, 100))
     kw["inits"] = [np.zeros(3), np.zeros(3), np.eye(3)[1]]
     got = _assert_identical(*args, **kw)
     assert np.isfinite(got.restart_values).all()
@@ -150,7 +151,7 @@ def test_twice_degenerate_starts_redraw_like_sequential():
     # and restart 4's seeded start are refused as well, so restart 1 takes
     # the second block of its stream and restart 4 its second block
     (numer, base, dim), kw = _norm_call(_operator(12, 2.0, 1.5), seed=4,
-                                        budget=AscentBudget(6, 100, 0.1))
+                                        budget=AscentBudget(6, 100))
     rngs = spawn_rngs(4, 6)
     refused = np.array([rngs[1].standard_normal(dim),
                         rngs[4].standard_normal(dim)])
@@ -186,21 +187,20 @@ def test_seeded_starts_build_no_generators(monkeypatch):
     operator_norm(op, seed=2)
     numer, denom, lift, pull = ratio_problem(op, LpFamily(2.0),
                                              *_SIDES["convexity"], 2)
-    maximize_ratio(numer, denom, 6, seed=3, budget=AscentBudget(8, 50, 0.1),
+    maximize_ratio(numer, denom, 6, seed=3, budget=AscentBudget(8, 50),
                    lift=lift, pull=pull)
     estimate_constant(op, LpFamily(2.0), "concavity", 3, seed=5)
-    beta = [[0.3, -1.2, 0.0, 2.5], [1.0, 0.5, -0.25, 0.125]]
-    kothe_dual_norm(LpFamily(1.5), beta, method="numeric", restarts=40)
+    beta = np.array([[0.3, -1.2, 0.0, 2.5], [1.0, 0.5, -0.25, 0.125]])
+    _ascent_rows(LpFamily(1.5), np.abs(beta), 300, 40)
     assert calls == []
     spawn_rngs(0, 2)  # the counters see the generators spawn_rngs builds
     assert [name for name, _ in calls] == ["spawn"] + ["default_rng"] * 2
 
 
 @pytest.mark.parametrize("budget", [
-    AscentBudget(2.5, 10, 0.1), AscentBudget(4, 10.5, 0.1),
-    AscentBudget(4, math.inf, 0.1), AscentBudget(True, 10, 0.1),
-    AscentBudget(4, np.True_, 0.1), AscentBudget(0, 10, 0.1),
-    AscentBudget(4, -1, 0.1), AscentBudget(4, 10, 0.0),
+    AscentBudget(2.5, 10), AscentBudget(4, 10.5), AscentBudget(4, math.inf),
+    AscentBudget(True, 10), AscentBudget(4, np.True_), AscentBudget(0, 10),
+    AscentBudget(4, -1),
 ])
 def test_budget_refuses_counts_that_are_not_positive_integers(budget):
     with pytest.raises(InputError, match="integer restarts and iterations"):
@@ -211,15 +211,15 @@ def test_budget_refuses_counts_that_are_not_positive_integers(budget):
 
 def test_budget_takes_numpy_integer_counts():
     op = _operator(14, 1.5, 2.0)
-    plain = operator_norm(op, AscentBudget(5, 40, 0.1), seed=1)
-    numpy_ints = operator_norm(op, AscentBudget(np.int64(5), np.int32(40),
-                                                0.1), seed=1)
+    plain = operator_norm(op, AscentBudget(5, 40), seed=1)
+    numpy_ints = operator_norm(op, AscentBudget(np.int64(5), np.int32(40)),
+                               seed=1)
     assert _bits(numpy_ints.restart_values) == _bits(plain.restart_values)
 
 
 def test_infinite_numerator_stops_like_sequential():
     (base, denom, dim), kw = _norm_call(_operator(6, 2.0, 2.0), seed=2,
-                                        budget=AscentBudget(10, 200, 0.1))
+                                        budget=AscentBudget(10, 200))
 
     def numer(z):
         return np.where(z[:, 0] > 0.5, np.inf, base(z))
@@ -236,7 +236,7 @@ def test_infinite_numerator_stops_like_sequential():
 
 def test_fewer_restarts_than_inits_matches_sequential():
     args, kw = _norm_call(_operator(8, 1.5, 2.0), seed=3,
-                          budget=AscentBudget(3, 200, 0.1))
+                          budget=AscentBudget(3, 200))
     kw["inits"] = list(np.random.default_rng(1).standard_normal((5, 3)))
     got = _assert_identical(*args, **kw)
     assert len(got.restart_values) == 3
@@ -247,11 +247,11 @@ def test_restart_prefix_and_determinism():
     numer, denom, lift, pull = ratio_problem(op, LpFamily(2.0),
                                              *_SIDES["convexity"], 2)
     small = maximize_ratio(numer, denom, 6, seed=9, lift=lift, pull=pull,
-                           budget=AscentBudget(8, 200, 0.1))
+                           budget=AscentBudget(8, 200))
     large = maximize_ratio(numer, denom, 6, seed=9, lift=lift, pull=pull,
-                           budget=AscentBudget(16, 200, 0.1))
+                           budget=AscentBudget(16, 200))
     again = maximize_ratio(numer, denom, 6, seed=9, lift=lift, pull=pull,
-                           budget=AscentBudget(16, 200, 0.1))
+                           budget=AscentBudget(16, 200))
     assert _bits(large.restart_values[:8]) == _bits(small.restart_values)
     assert _bits(again.restart_values) == _bits(large.restart_values)
     assert _bits(again.argmax) == _bits(large.argmax)
@@ -266,7 +266,7 @@ def test_values_never_fall_and_witnesses_reproduce(flavor):
     fam = LpFamily(3.0)
     numer, denom, lift, pull = ratio_problem(op, fam, *_SIDES[flavor], 2)
     path = [maximize_ratio(numer, denom, 6, seed=4, lift=lift, pull=pull,
-                           budget=AscentBudget(8, k, 0.1))
+                           budget=AscentBudget(8, k))
             for k in range(1, 25)]
     values = np.array([res.restart_values for res in path])
     assert (np.diff(values, axis=0) >= 0.0).all()
@@ -330,7 +330,7 @@ def test_restart_values_are_numerators_at_unit_witnesses(family):
             return numer(z)
 
         got = maximize_ratio(record, denom, dim, seed=8, lift=lift, pull=pull,
-                             budget=AscentBudget(10, 200, 0.1))
+                             budget=AscentBudget(10, 200))
         witnesses = scored[-1]
         assert len(witnesses) == 10
         assert _bits(numer(witnesses)) == _bits(got.restart_values)

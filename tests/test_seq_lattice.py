@@ -12,8 +12,10 @@ from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           OrliczFunction, WeightedLpFamily,
                           conjugate_exponent, dual_witness,
                           kothe_dual, kothe_dual_norm, lattice,
-                          lattice_valued_norm, parse_gauge, strong_mixed_norm)
+                          lattice_valued_norm, parse_gauge, seq_lattice,
+                          strong_mixed_norm)
 from lattice_calc.mixed_norms import _pointwise_support, _strong_support
+from lattice_calc.seq_lattice import _ascent_rows
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -111,7 +113,8 @@ def test_dual_l3_closed_form_and_mesh():
     res = kothe_dual_norm(fam, [1, 1])
     assert res.value == pytest.approx(expected, rel=1e-12)
     assert dual_mesh_oracle(fam, [1, 1]) == pytest.approx(expected, abs=1e-3)
-    numeric = kothe_dual_norm(fam, [1, 1], method="numeric", seed=1)
+    oracle = CustomFamily(lambda v: float((np.abs(v) ** 3).sum() ** (1 / 3)))
+    numeric = kothe_dual_norm(oracle, [1, 1])  # by ascent
     assert numeric.value == pytest.approx(expected, rel=1e-6)
     assert numeric.converged
 
@@ -157,32 +160,6 @@ def test_bidual_norm_is_the_base_norm(base, expect):
     res = kothe_dual_norm(kothe_dual(base), beta)
     assert res.method == "analytic" and res.converged
     assert res.value == base.norm(beta) == expect
-
-
-def test_numeric_method_on_a_numeric_dual_is_refused():
-    # its dual is the base family: an ascent over finite-difference
-    # gradients of the numeric dual could only approximate the base norm
-    dual = kothe_dual(OrliczFamily(parse_gauge("u^3")))
-    beta = [1.0, -2.0, 0.5, 3.0]
-    with pytest.raises(InputError, match=r'base family orlicz\[u\^3\].*'
-                                         r'"auto" or "analytic"'):
-        kothe_dual_norm(dual, beta, method="numeric")
-    with pytest.raises(InputError, match="budget"):  # the budget comes first
-        kothe_dual_norm(dual, beta, method="numeric", restarts=0)
-    assert kothe_dual_norm(dual, beta, method="analytic").value == (
-        3.305744509228972)
-
-
-def test_numeric_dual_budget_rejects_fractional_restarts():
-    with pytest.raises(InputError, match="budget"):
-        kothe_dual_norm(LpFamily(1.5), [1.0, -2.0, 0.5], method="numeric",
-                        restarts=40.5)
-
-
-def test_numeric_dual_budget_rejects_bool_restarts():
-    with pytest.raises(InputError, match="budget"):
-        kothe_dual_norm(LpFamily(1.5), [1.0, -2.0, 0.5], method="numeric",
-                        restarts=True)
 
 
 def test_dual_witness_attains():
@@ -352,29 +329,24 @@ def test_scalar_entry_points_reject_nan():
 
 _BATCH = np.random.default_rng(31).standard_normal((2, 5, 4)) * 2.0
 _BATCH[0, 2] = 0.0  # a zero row
-_NUMERIC = {"method": "numeric", "restarts": 12, "iterations": 40, "seed": 3}
 
 
-@pytest.mark.parametrize("family, kwargs", [
-    (LpFamily(1), {"method": "analytic"}),
-    (LpFamily(1.5), {"method": "analytic"}),
-    (LpFamily(2), {"method": "analytic"}),
-    (LpFamily(3), {"method": "analytic"}),
-    (LpFamily(math.inf), {"method": "analytic"}),
-    (WeightedLpFamily(1.5, [2.0, 0.5, 1.0, 3.0]), {"method": "analytic"}),
-    (LpFamily(1.5), _NUMERIC),
-    (LpFamily(3), _NUMERIC),
-    (OrliczFamily(parse_gauge("u^2")), _NUMERIC),
-    (OrliczFamily(parse_gauge("u*exp(u)")), _NUMERIC),
-    (CustomFamily(lambda v: float(np.abs(v).max() + 0.5 * np.abs(v).sum())),
-     _NUMERIC),
-], ids=["l1", "l1.5", "l2", "l3", "linf", "wl1.5", "l1.5_ascent",
-        "l3_ascent", "orlicz_u2", "orlicz_uexp", "custom"])
-def test_kothe_dual_norm_batch_equals_rows(family, kwargs):
+@pytest.mark.parametrize("family", [
+    LpFamily(1), LpFamily(1.5), LpFamily(2), LpFamily(3), LpFamily(math.inf),
+    WeightedLpFamily(1.5, [2.0, 0.5, 1.0, 3.0]),
+    OrliczFamily(parse_gauge("u^2")), OrliczFamily(parse_gauge("u*exp(u)")),
+    CustomFamily(lambda v: float(np.abs(v).max() + 0.5 * np.abs(v).sum())),
+], ids=["l1", "l1.5", "l2", "l3", "linf", "wl1.5", "orlicz_u2", "orlicz_uexp",
+        "custom"])
+def test_kothe_dual_norm_batch_equals_rows(family, monkeypatch):
+    # the custom case's ascent at 12 starts and 40 iterations: at the
+    # defaults its finite-difference gradients take about 15 s
+    monkeypatch.setattr(seq_lattice, "_DUAL_RESTARTS", 12)
+    monkeypatch.setattr(seq_lattice, "_DUAL_ITERATIONS", 40)
     for batch in (_BATCH[0], _BATCH):
-        res = kothe_dual_norm(family, batch, **kwargs)
+        res = kothe_dual_norm(family, batch)
         flat = batch.reshape(-1, batch.shape[-1])
-        rows = [kothe_dual_norm(family, b, **kwargs) for b in flat]
+        rows = [kothe_dual_norm(family, b) for b in flat]
         assert all(type(r.value) is float and type(r.converged) is bool
                    and r.witness.shape == (4,) for r in rows)
         assert res.value.shape == res.converged.shape == batch.shape[:-1]
@@ -384,16 +356,18 @@ def test_kothe_dual_norm_batch_equals_rows(family, kwargs):
                               [r.witness for r in rows])
         assert np.array_equal(res.converged.ravel(),
                               [r.converged for r in rows])
-    zero = kothe_dual_norm(family, _BATCH[0, 2], **kwargs)
+    zero = kothe_dual_norm(family, _BATCH[0, 2])
     assert zero.value == 0.0 and zero.converged
 
 
 def test_numeric_batch_agrees_with_closed_forms():
     fam = LpFamily(1.5)
-    res = kothe_dual_norm(fam, _BATCH, **_NUMERIC)
-    ref = kothe_dual_norm(fam, _BATCH, method="analytic")
-    assert np.allclose(res.value, ref.value, rtol=1e-6, atol=0.0)
-    assert res.converged.all()
+    flat = _BATCH.reshape(-1, _BATCH.shape[-1])
+    value, _, agree = _ascent_rows(fam, np.abs(flat), 40, 12, 3)
+    ref = kothe_dual_norm(fam, flat)
+    assert ref.method == "analytic"
+    assert np.allclose(value, ref.value, rtol=1e-6, atol=0.0)
+    assert np.all((agree >= 2) | ~flat.any(axis=-1))  # each row converged
 
 
 # ---------------------------------------------------------------------------

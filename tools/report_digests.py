@@ -13,10 +13,10 @@ canonical JSON (sorted keys, floats that read back exactly):
 - ``verify`` at default counts, seeds 0 and 42;
 - ``verify`` at the ``verify_cli`` bench counts, bench seeds 1-3 and 44;
 - the seeded starts outside the bench: ``operator_norm`` with a zero extra
-  start, which is redrawn, at two seeds; ``kothe_dual_norm`` of l1.5 by
-  ascent with 40 starts, a vector and a batch; a CLI ``constant`` task on
-  a random operator with ``n_max`` 6; a CLI ``duality`` task at seed
-  2^128 + 5;
+  start, which is redrawn, at two seeds; ``kothe_dual_norm`` by ascent
+  over a ``CustomFamily`` l1.5 oracle, a 3-vector and a 2x3 batch; a CLI
+  ``constant`` task on a random operator with ``n_max`` 6; a CLI
+  ``duality`` task at seed 2^128 + 5;
 - ``operator_norm`` with a weighted-lp domain, an Orlicz domain and a zero
   column, an Amemiya-dual codomain, and between two non-lattice normed
   spaces; one ``convexity_ratio`` and one ``concavity_ratio``;
@@ -121,11 +121,15 @@ def _seeded_starts(lc):
         yield (f"seeded/operator_norm_zero_start/seed={seed}",
                lambda seed=seed: _plain(lc.operator_norm(
                    op, seed=seed, extra_inits=[np.zeros(4)])))
-    beta = np.random.default_rng(2025).standard_normal((3, 6))
+
+    def l15(row):
+        return float((np.abs(row) ** 1.5).sum() ** (1.0 / 1.5))
+
+    custom = lc.CustomFamily(l15, label="l1.5-oracle")
+    beta = np.random.default_rng(2025).standard_normal((2, 3))
     for name, b in (("vector", beta[0]), ("batch", beta)):
-        yield (f"seeded/kothe_dual_norm_l1.5_numeric/{name}",
-               lambda b=b: _plain(lc.kothe_dual_norm(
-                   lc.LpFamily(1.5), b, method="numeric", restarts=40)))
+        yield (f"seeded/kothe_dual_norm_custom/{name}",
+               lambda b=b: _plain(lc.kothe_dual_norm(custom, b)))
     random_op = {"random": {"rows": 4, "cols": 4, "seed": 7},
                  "domain": lp(2.0), "codomain": lp(1.0)}
     yield ("seeded/cli_constant_random_n_max=6",
