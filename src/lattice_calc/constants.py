@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InputError, ScaleGuardError
 from .finite_lattice import FiniteLattice, NormedSpace
 from .mixed_norms import as_rows, mixed_norm
-from .operators import OperatorInstance, apply_n, ratio_problem, transpose
+from .operators import OperatorInstance, ratio_problem, transpose
 from .optimize import AscentBudget, maximize_ratio
 from .seeding import substream_normals
 from .seq_lattice import SeqNormFamily, kothe_dual
@@ -81,13 +81,13 @@ def _sides(flavor: str) -> tuple[str, str]:
 def _tuple_ratio(op: OperatorInstance, family: SeqNormFamily, rows,
                  flavor: str) -> float:
     top, bottom = _sides(flavor)
-    top_norm, _ = mixed_norm(top, op.codomain)
-    bottom_norm, _ = mixed_norm(bottom, op.domain)
     a = as_rows(rows, op.in_dim)
-    denom = float(bottom_norm(op.domain, family, a))
-    if denom <= 0.0:
+    numer, denom, _, _ = ratio_problem(op, family, top, bottom, len(a))
+    z = a.reshape(1, -1)
+    scale = float(denom(z)[0])
+    if scale <= 0.0:
         raise InputError(f"tuple has zero {bottom} mixed norm")
-    return float(top_norm(op.codomain, family, apply_n(op, a))) / denom
+    return float(numer(z)[0]) / scale
 
 
 def convexity_ratio(op: OperatorInstance, family: SeqNormFamily, rows) -> float:

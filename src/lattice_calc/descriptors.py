@@ -24,6 +24,9 @@ from .seq_lattice import (LpFamily, OrliczFamily, OrliczFunction,
                           SeqNormFamily, WeightedLpFamily, config_field)
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(u)|(exp)|([()+*^]))")
+# the parser, the AST walks and the compiled closures recurse at most twice
+# per token, so at this many they stay inside Python's recursion limit
+_MAX_TOKENS = 255
 
 
 def _tokenize(text: str):
@@ -47,6 +50,9 @@ def _tokenize(text: str):
         else:
             tokens.append((op, None))
         pos = m.end()
+    if len(tokens) > _MAX_TOKENS:
+        raise DescriptorError(f"gauge expression of {len(tokens)} tokens "
+                              f"exceeds the cap of {_MAX_TOKENS}")
     tokens.append(("end", None))
     return tokens
 

@@ -65,14 +65,11 @@ def _strong_support(space_family: SeqNormFamily, family: SeqNormFamily,
 def _pointwise_support(space_family: SeqNormFamily, family: SeqNormFamily,
                        s: np.ndarray):
     """argmax x of sum_j <x_j, s_j> over the pointwise mixed-norm unit ball,
-    x_j(w) = a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings,
-    and that max, the pairing of a with them."""
-    cols = s.swapaxes(-1, -2)
-    fibers = dual_witness(family, cols)
-    pairings = np.add.reduce(fibers * cols, axis=-1)
-    scale = dual_witness(space_family, pairings)
-    return ((scale[..., None] * fibers).swapaxes(-1, -2),
-            np.add.reduce(scale * pairings, axis=-1))
+    and that max: the pointwise ball of E(Y) is the strong ball with the
+    two families exchanged, on the transposed tuple, so x_j(w) =
+    a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings."""
+    x, pairing = _strong_support(family, space_family, s.swapaxes(-1, -2))
+    return x.swapaxes(-1, -2), pairing
 
 
 def mixed_norm(name: str, space: NormedSpace):

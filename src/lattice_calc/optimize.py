@@ -8,10 +8,12 @@ point is its ratio, and a restart takes a step only while its pairing
 strictly rises.  f and g score the starts and, once on the unit sphere,
 the final iterates, so every value is the exact ratio of its witness.
 Restart r, unless an init fills it, starts from the first normals of
-substream r of the seed, all drawn by one ``substream_normals`` call; a
-degenerate start (a zero tuple, say) is redrawn from the next normals of
-its own substream.  Restarts advance in lock step; the callables act row
-by row, so restarts are a prefix of any larger budget.
+substream r of the seed, all drawn by one ``substream_normals`` call; an
+init that is degenerate (a zero tuple, say) is replaced once by those
+normals of its restart, and a start still degenerate stays at -inf, never
+stepped and never the best unless all are.  Restarts advance in lock
+step; the callables act row by row, so restarts are a prefix of any
+larger budget.
 """
 
 from dataclasses import dataclass
@@ -76,17 +78,10 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
     z, val = on_sphere(np.concatenate([
         np.reshape(starts[:k], (k, dim)),
         substream_normals(seed, range(k, budget.restarts), dim)]))
-    drawn = np.zeros(budget.restarts, dtype=int)  # blocks of dim per stream
-    drawn[k:] = 1
-    for _ in range(8):  # redraw degenerate starts, such as a zero tuple
-        bad = np.flatnonzero(val == -np.inf)
-        if not bad.size:
-            break
-        block = drawn[bad]
-        fresh = substream_normals(seed, bad, (block.max() + 1) * dim)
-        z[bad], val[bad] = on_sphere(
-            fresh.reshape(len(bad), -1, dim)[np.arange(len(bad)), block])
-        drawn[bad] += 1
+    # a degenerate init gets its restart's seeded draw, once
+    bad = np.flatnonzero(val[:k] == -np.inf)
+    if bad.size:
+        z[bad], val[bad] = on_sphere(substream_normals(seed, bad, dim))
     live = np.flatnonzero(val > -np.inf)
     y, pairing = lift(z[live])
     for _ in range(budget.iterations):

@@ -398,14 +398,9 @@ class CustomFamily(SeqNormFamily):
     invariant sweeps are the place where violations surface.
     """
 
-    def __init__(self, oracle: Callable, label: str = "custom",
-                 max_len: int | None = None):
+    def __init__(self, oracle: Callable, label: str = "custom"):
         self.oracle = oracle
-        self._max_len = max_len
         super().__init__(label)
-
-    def max_length(self):
-        return self._max_len
 
     def norm_array(self, values):
         a = strip_trailing_zeros(np.asarray(values, dtype=float))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lattice_calc import LpFamily
 from lattice_calc.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR,
                               EXIT_NONCONVERGENT, EXIT_OK, main, run)
+from lattice_calc.descriptors import _MAX_TOKENS, _tokenize
 from lattice_calc.verification import mixed_suite
 
 SMALL_COUNTS = {
@@ -272,6 +273,7 @@ _VALID = [
 ]
 
 # each exited 1 with a traceback (or, for the seed, was truncated)
+_ORLICZ_991 = {"kind": "orlicz", "phi": "+".join(["u^2"] * 991)}
 _MALFORMED = {
     "vector_a": {"task": "norm", "family": _L2, "vector": ["a"]},
     "random_no_cols": {"task": "constant", "family": _L2, "operator": {
@@ -310,6 +312,18 @@ _MALFORMED = {
                    "n_max": 10 ** 7},
     "n_10^7": {"task": "duality", "family": _L2, "operator": _OP,
                "n": 10 ** 7},
+    # the recursive gauge parser ran out of stack
+    "phi_300_parens": {"task": "norm", "vector": [1, 2], "family": {
+        "kind": "orlicz", "phi": "(" * 300 + "u^2" + ")" * 300}},
+    # parsed, but the compiled closures ran out of stack
+    "phi_991_terms_dualnorm": {"task": "dualnorm", "vector": [1, 2],
+                               "family": _ORLICZ_991},
+    "phi_991_terms_duality": {"task": "duality", "family": _ORLICZ_991,
+                              "operator": _OP},
+    # standard_normal((10**9, 5)) would have been drawn; refused first
+    "holder_probes_10^9": {"task": "verify",
+                           "counts": {"holder_probes": 10 ** 9}},
+    "max_length_10^6": {"task": "verify", "counts": {"max_length": 10 ** 6}},
 }
 
 
@@ -345,6 +359,24 @@ def test_overflowing_gauge_exits_2_with_one_line(phi, tmp_path):
     assert [str(w.message) for w in caught] == []
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+# the deepest nestings of the two reproducers above that the cap admits
+_AT_GAUGE_CAP = {"terms": "+".join(["u^2"] * 64),
+                 "parens": "(" * 126 + "u^2" + ")" * 126}
+
+
+@pytest.mark.parametrize("phi", _AT_GAUGE_CAP.values(),
+                         ids=_AT_GAUGE_CAP.keys())
+def test_gauge_at_the_token_cap_completes(phi, tmp_path):
+    assert len(_tokenize(phi)) == _MAX_TOKENS + 1  # and the end marker
+    family = {"kind": "orlicz", "phi": phi}
+    for config in ({"task": "dualnorm", "family": family,
+                    "vector": [1.0, -2.0, 0.5]},
+                   {"task": "duality", "family": family, "operator": _OP,
+                    "budget": {"restarts": 4, "iterations": 30}}):
+        status, err = _main_quietly(config, tmp_path)
+        assert status == EXIT_OK, err
 
 
 def _field_paths(node, prefix=()):

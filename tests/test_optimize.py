@@ -35,20 +35,20 @@ def _on_sphere(numerator, denominator, z):
 
 def _sequential_maximize_ratio(numerator, denominator, dim, seed=0,
                                budget=None, inits=(), *, lift, pull):
-    """One restart at a time, each in its own Python loop: a step while the
-    lift's pairing strictly rises, then the final iterate on the sphere."""
+    """One restart at a time, each in its own Python loop: a degenerate init
+    replaced by its restart's seeded draw, a step while the lift's pairing
+    strictly rises, then the final iterate on the sphere."""
     budget = budget or AscentBudget()
     rngs = spawn_rngs(seed, budget.restarts)
     starts = [np.asarray(z, dtype=float).ravel() for z in inits]
     starts = starts[:budget.restarts]
+    n_inits = len(starts)
     while len(starts) < budget.restarts:
         starts.append(rngs[len(starts)].standard_normal(dim))
     finals, points = [], []
     for ridx, z0 in enumerate(starts):
         z, val = _on_sphere(numerator, denominator, z0)
-        for _ in range(8):
-            if val > -np.inf:
-                break
+        if val == -np.inf and ridx < n_inits:
             z, val = _on_sphere(numerator, denominator,
                                 rngs[ridx].standard_normal(dim))
         if val > -np.inf:
@@ -146,26 +146,25 @@ def test_zero_init_resamples_like_sequential():
     assert np.isfinite(got.restart_values).all()
 
 
-def test_twice_degenerate_starts_redraw_like_sequential():
-    # restarts 0 and 1 start at zero tuples, and restart 1's first redraw
-    # and restart 4's seeded start are refused as well, so restart 1 takes
-    # the second block of its stream and restart 4 its second block
+def test_still_degenerate_start_stays_at_minus_inf():
+    # restarts 0 and 1 start at zero tuples and take their seeded draws,
+    # and restart 1's draw and restart 4's seeded start are refused too:
+    # neither is replaced again, stepped or picked
     (numer, base, dim), kw = _norm_call(_operator(12, 2.0, 1.5), seed=4,
                                         budget=AscentBudget(6, 100))
     rngs = spawn_rngs(4, 6)
     refused = np.array([rngs[1].standard_normal(dim),
                         rngs[4].standard_normal(dim)])
-    seen = []
 
     def denom(z):
         hit = (z[:, None, :] == refused).all(axis=-1).any(axis=-1)
-        seen.append(int(hit.sum()))
         return np.where(hit, 0.0, base(z))
 
     kw["inits"] = [np.zeros(dim), np.zeros(dim), np.eye(dim)[2]]
     got = _assert_identical(numer, denom, dim, **kw)
-    assert np.isfinite(got.restart_values).all()
-    assert sum(seen) == 4  # each refused row, once per engine
+    values = np.array(got.restart_values)
+    assert np.flatnonzero(values == -np.inf).tolist() == [1, 4]
+    assert np.isfinite(got.value)
 
 
 def test_seeded_starts_build_no_generators(monkeypatch):
