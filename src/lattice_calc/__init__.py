@@ -9,19 +9,18 @@ from types import ModuleType as _ModuleType
 
 from .errors import (DescriptorError, DimensionMismatchError, InputError,
                      ScaleGuardError)
-from .seq_lattice import (CustomFamily, DualNormResult, LpFamily,
-                          NumericDualFamily, OrliczFamily, OrliczFunction,
-                          SeqNormFamily, WeightedLpFamily, conjugate_exponent,
-                          dual_witness, kothe_dual, kothe_dual_norm)
+from .seq_lattice import (CustomFamily, LpFamily, NumericDualFamily,
+                          OrliczFamily, OrliczFunction, SeqNormFamily,
+                          WeightedLpFamily, conjugate_exponent, dual_witness,
+                          kothe_dual, kothe_dual_norm)
 from .descriptors import family_from_descriptor, parse_gauge
 from .finite_lattice import (FiniteLattice, HomogeneousFunction, NormedSpace,
                              compose, homogeneous, krivine_apply, lattice,
                              lattice_valued_norm, norm_function, projection)
 from .mixed_norms import pointwise_mixed_norm, strong_mixed_norm, tail_profile
 from .operators import OperatorInstance, apply_n, operator_norm, transpose
-from .optimize import AscentBudget, AscentResult, maximize_ratio
-from .constants import (ConstantEstimate, DualityReport, FunctionalNormResult,
-                        LevelBound, brute_force_constant, concavity_ratio,
+from .optimize import AscentBudget, maximize_ratio
+from .constants import (brute_force_constant, concavity_ratio,
                         convexity_ratio, duality_check, estimate_constant,
                         functional_norm, lattice_constants)
 

@@ -9,11 +9,14 @@ Families come from small JSON-style dictionaries:
 
 The gauge expression grammar is deliberately minimal: nonnegative number
 literals, the variable ``u``, ``+``, ``*``, ``^`` (constant exponent),
-``exp(...)`` and parentheses.  Nothing richer is accepted.
+``exp(...)`` and parentheses.  Nothing richer is accepted.  Python's own
+parser reads it, as its +, * and ** group the same way, and one walk maps
+the accepted forms to a tuple AST.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 
@@ -23,14 +26,18 @@ from .errors import DescriptorError
 from .seq_lattice import (LpFamily, OrliczFamily, OrliczFunction,
                           SeqNormFamily, WeightedLpFamily, config_field)
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(u)|(exp)|([()+*^]))")
-# the parser, the AST walks and the compiled closures recurse at most twice
-# per token, so at this many they stay inside Python's recursion limit
+_TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(u|exp|[()+*^]))")
+# the walk of Python's parse, the AST walks and the compiled closures
+# recurse at most twice per token, so at this many they stay inside
+# Python's recursion limit
 _MAX_TOKENS = 255
 
 
 def _tokenize(text: str):
-    tokens = []
+    """The lexemes of a gauge expression as Python source, each number a
+    placeholder name ``_k`` for ``numbers[k]`` and ``^`` as ``**``: returns
+    (words, numbers)."""
+    words, numbers = [], []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -40,94 +47,53 @@ def _tokenize(text: str):
             raise DescriptorError(
                 f"unexpected character {text[pos:].lstrip()[0]!r} in gauge "
                 f"expression {text!r}")
-        num, var, fn, op = m.groups()
+        num, word = m.groups()
         if num is not None:
-            tokens.append(("num", float(num)))
-        elif var is not None:
-            tokens.append(("u", None))
-        elif fn is not None:
-            tokens.append(("exp", None))
+            words.append(f"_{len(numbers)}")
+            numbers.append(float(num))
         else:
-            tokens.append((op, None))
+            words.append("**" if word == "^" else word)
         pos = m.end()
-    if len(tokens) > _MAX_TOKENS:
-        raise DescriptorError(f"gauge expression of {len(tokens)} tokens "
+    if len(words) > _MAX_TOKENS:
+        raise DescriptorError(f"gauge expression of {len(words)} tokens "
                               f"exceeds the cap of {_MAX_TOKENS}")
-    tokens.append(("end", None))
-    return tokens
+    return words, numbers
 
 
-class _Parser:
-    """Recursive descent over:  expr := term (+ term)*
-    term := factor (* factor)* ; factor := atom (^ const)? ;
-    atom := number | u | exp(expr) | (expr)."""
+def _parse(text: str):
+    """The tuple AST of a gauge expression, parsed by Python, whose +, *
+    and ** have the grammar's precedence and grouping (^ binds tightest,
+    the rest group to the left); a power of a power folds."""
+    words, numbers = _tokenize(text)
+    if any(w == "exp" and after != "("
+           for w, after in zip(words, words[1:] + [None])):
+        raise DescriptorError(f"exp must be followed by '(' in {text!r}")
+    try:
+        tree = ast.parse(" ".join(words), mode="eval").body
+    except SyntaxError as err:
+        raise DescriptorError(
+            f"malformed gauge expression {text!r}: {err.msg}") from None
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise DescriptorError(
-                f"expected {kind!r} at token {self.pos} of {self.text!r}, "
-                f"found {tok[0]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() != "end":
-            raise DescriptorError(f"trailing tokens in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == "+":
-            self.take("+")
-            node = ("add", node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == "*":
-            self.take("*")
-            node = ("mul", node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.atom()
-        if self.peek() == "^":
-            self.take("^")
-            p = _const_value(self.atom(), self.text)
-            if node[0] == "pow":  # (f^a)^p = f^(a p), as no value is negative
-                node, p = node[1], node[2] * p
-            node = ("pow", node, p)
-        return node
-
-    def atom(self):
-        kind = self.peek()
-        if kind == "num":
-            return ("num", self.take()[1])
-        if kind == "u":
-            self.take()
+    def walk(node):
+        if isinstance(node, ast.Name) and node.id == "u":
             return ("var",)
-        if kind == "exp":
-            self.take()
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return ("exp", inner)
-        if kind == "(":
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise DescriptorError(f"unexpected token {kind!r} in {self.text!r}")
+        if isinstance(node, ast.Name) and node.id.startswith("_"):
+            return ("num", numbers[int(node.id[1:])])
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "exp" and len(node.args) == 1):
+            return ("exp", walk(node.args[0]))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return ("add", walk(node.left), walk(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return ("mul", walk(node.left), walk(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, p = walk(node.left), _const_value(walk(node.right), text)
+            if base[0] == "pow":  # (f^a)^p = f^(a p), as no value is negative
+                base, p = base[1], base[2] * p
+            return ("pow", base, p)
+        raise DescriptorError(f"unsupported form in gauge expression {text!r}")
+
+    return walk(tree)
 
 
 def _const_value(node, text):
@@ -140,46 +106,56 @@ def _const_value(node, text):
     raise DescriptorError(f"exponent must be constant in {text!r}")
 
 
-def _compile(node):
-    """The closure u -> value of an AST, built once.
+def _compile(node, memo=None):
+    """The closure u -> value of an AST, built once per node: ``memo`` maps
+    the id of each node compiled in this call to its closure, so a subtree
+    that ``_derivative`` shares between parents compiles once.
 
     A number that is one operand of + or * enters as a Python float, which
     gives the same products and sums as a filled array.  Small integer
     powers are repeated multiplications: float pow is the dominant cost
     inside Luxemburg solves.
     """
+    if memo is None:
+        memo = {}
+    elif id(node) in memo:
+        return memo[id(node)]
     kind = node[0]
     if kind == "num":
         value = node[1]
-        return lambda u: np.full_like(u, value)
-    if kind == "var":
-        return lambda u: u
-    if kind in ("add", "mul"):
+        fn = lambda u: np.full_like(u, value)
+    elif kind == "var":
+        fn = lambda u: u
+    elif kind in ("add", "mul"):
         op = np.add if kind == "add" else np.multiply
         left, right = node[1], node[2]
         if left[0] == "num" and right[0] != "num":
-            c, g = left[1], _compile(right)
-            return lambda u: op(c, g(u))
-        if right[0] == "num" and left[0] != "num":
-            f, c = _compile(left), right[1]
-            return lambda u: op(f(u), c)
-        f, g = _compile(left), _compile(right)
-        return lambda u: op(f(u), g(u))
-    if kind == "pow":
-        f, p = _compile(node[1]), node[2]
+            c, g = left[1], _compile(right, memo)
+            fn = lambda u: op(c, g(u))
+        elif right[0] == "num" and left[0] != "num":
+            f, c = _compile(left, memo), right[1]
+            fn = lambda u: op(f(u), c)
+        else:
+            f, g = _compile(left, memo), _compile(right, memo)
+            fn = lambda u: op(f(u), g(u))
+    elif kind == "pow":
+        f, p = _compile(node[1], memo), node[2]
         if p == int(p) and 1 <= p <= 4:
-            def power(u):
+            def fn(u):
                 base = f(u)
                 out = base
                 for _ in range(int(p) - 1):
                     out = out * base
                 return out
-            return power
-        return lambda u: f(u) ** p
-    if kind == "exp":
-        f = _compile(node[1])
-        return lambda u: np.exp(f(u))
-    raise DescriptorError(f"unknown node {kind!r}")
+        else:
+            fn = lambda u: f(u) ** p
+    elif kind == "exp":
+        f = _compile(node[1], memo)
+        fn = lambda u: np.exp(f(u))
+    else:
+        raise DescriptorError(f"unknown node {kind!r}")
+    memo[id(node)] = fn
+    return fn
 
 
 def _is_num(node, value) -> bool:
@@ -274,9 +250,9 @@ def parse_gauge(expression: str) -> OrliczFunction:
     u^2+u^3 underflows under a negative power) are those of the leading
     term c u^q near 0, so phi'(0) is c when q = 1, and 0 when q > 1.
     """
-    ast = _Parser(expression).parse()
-    phi = _compile(ast)
-    first = _derivative(ast)
+    tree = _parse(expression)
+    phi = _compile(tree)
+    first = _derivative(tree)
     dphi, ddphi = _compile(first), _compile(_derivative(first))
 
     def func(u):
@@ -288,7 +264,7 @@ def parse_gauge(expression: str) -> OrliczFunction:
     second_derivative = _quiet(ddphi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if not np.isfinite(dphi(np.zeros(()))):  # q < 1 gives phi'(0) = inf
-            c, q = _leading(ast)
+            c, q = _leading(tree)
             derivative = _quiet(dphi, c * q, q - 1.0)
             second_derivative = _quiet(ddphi, c * q * (q - 1.0), q - 2.0)
     return OrliczFunction(func, expression=expression, derivative=derivative,

@@ -452,7 +452,8 @@ class DualNormResult:
 
 
 def _structured_dual_inits(targets: np.ndarray):
-    """Deterministic start points for the positive-sphere linear ascent.
+    """Deterministic start points for the positive-sphere linear ascent of
+    nonzero rows scaled to max 1, whose profiles thus sum to at least 1.
 
     Returns (iterated, static): conjugate-style profiles of the target to
     iterate from, plus vertex candidates of polytopal balls (canonical
@@ -462,10 +463,7 @@ def _structured_dual_inits(targets: np.ndarray):
     k, n = targets.shape
     iterated = [np.ones((k, n))]
     for r in (0.5, 1.0, 2.0):
-        prof = targets ** r
-        dead = prof.sum(axis=-1) <= 0.0
-        prof[dead] = 1.0
-        iterated.append(prof)
+        iterated.append(targets ** r)
     static = []
     for i in range(n):
         e = np.zeros((k, n))
@@ -545,7 +543,7 @@ class NumericDualFamily(SeqNormFamily):
     relative of the dual norm for the Amemiya solve, and tight to optimizer
     precision, roughly 1e-9 relative on smooth bases, for ascent.  Rows
     follow the batch contract of README "Numerical contracts", with its
-    two exceptions.
+    one exception.
     """
 
     def __init__(self, base: SeqNormFamily):
@@ -710,17 +708,23 @@ def _amemiya_dual(base: OrliczFamily, values):
 def _dual_rows(base: SeqNormFamily, values):
     """Koethe dual norms of ``values`` (leading axes are batches) over
     ``base`` and their nonnegative unit witnesses: the Amemiya solve for an
-    Orlicz base, otherwise ``_ascent_rows`` (150 iterations) on the rows
-    without the trailing zeros that the whole batch has."""
+    Orlicz base, otherwise ``_ascent_rows`` (150 iterations) on each row
+    without the zeros that end it, the rows of one such length together, so
+    each row gets what it gets alone; a zero row gets 0 and witness 0."""
     if isinstance(base, OrliczFamily):
         return _amemiya_dual(base, values)[:2]
-    a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
+    a = np.abs(np.asarray(values, dtype=float))
     if a.shape[-1] == 0:
         raise InputError("empty vector")
-    out, found, _ = _ascent_rows(base, a.reshape(-1, a.shape[-1]), 150)
-    witness = np.zeros(np.shape(values))
-    witness[..., :a.shape[-1]] = found.reshape(a.shape)
-    return out.reshape(a.shape[:-1]), witness
+    flat = a.reshape(-1, a.shape[-1])
+    # a row ends at its last entry that is not zero (a NaN is not a zero)
+    ends = np.max((flat != 0.0) * np.arange(1, flat.shape[-1] + 1), axis=-1)
+    out, witness = np.zeros(len(flat)), np.zeros(flat.shape)
+    for end in sorted(set(ends.tolist()) - {0}):
+        rows = ends == end
+        out[rows], witness[rows, :end], _ = _ascent_rows(
+            base, flat[rows, :end], 150)
+    return out.reshape(a.shape[:-1]), witness.reshape(a.shape)
 
 
 def kothe_dual(family: SeqNormFamily) -> SeqNormFamily:

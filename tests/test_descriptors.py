@@ -1,6 +1,7 @@
 """Descriptor parsing and the gauge expression grammar."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from lattice_calc import (DescriptorError, InputError, family_from_descriptor,
                           parse_gauge)
-from lattice_calc.descriptors import _compile, _derivative, _Parser
+from lattice_calc.descriptors import _compile, _derivative, _parse
 
 
 def test_lp_descriptor_roundtrip():
@@ -49,9 +50,48 @@ def test_gauge_grammar_forms():
 
 
 def test_gauge_grammar_rejections():
-    for text in ("u - 1", "v^2", "u^u", "sin(u)", "u^", "2 +", "(u", "u/2"):
+    for text in ("u - 1", "v^2", "u^u", "sin(u)", "u^", "2 +", "(u", "u/2",
+                 "u^2^3", "u**2", "(exp)(u)", "exp(u,)", "exp(u)(u)", "2(u)",
+                 "u+ +u"):
         with pytest.raises(DescriptorError):
             parse_gauge(text)
+
+
+def test_gauge_asts():
+    # the tuple ASTs: + and * group to the left, ^ binds tightest, numbers
+    # keep their decimal values, a power of a power folds
+    var = ("var",)
+    cases = {
+        "u+u*u": ("add", var, ("mul", var, var)),
+        "u^2*3": ("mul", ("pow", var, 2.0), ("num", 3.0)),
+        "2*u^1.5": ("mul", ("num", 2.0), ("pow", var, 1.5)),
+        "(u^2)^0.75": ("pow", var, 1.5),
+        "u^(1+1)": ("pow", var, 2.0),
+        "2^3*u": ("mul", ("pow", ("num", 2.0), 3.0), var),
+        "007*u": ("mul", ("num", 7.0), var),
+        "exp((u))": ("exp", var),
+    }
+    for text, tree in cases.items():
+        assert _parse(text) == tree, text
+
+
+def _closures(fn):
+    """The distinct functions reachable from ``fn`` through closure cells."""
+    seen, todo = {}, [fn]
+    while todo:
+        f = todo.pop()
+        if id(f) not in seen:
+            seen[id(f)] = f
+            todo += [cell.cell_contents for cell in f.__closure__ or ()
+                     if isinstance(cell.cell_contents, types.FunctionType)]
+    return len(seen)
+
+
+def test_shared_subtrees_compile_once():
+    # phi'' of a product chain shares subtrees of phi and phi'; compiled as
+    # a tree, 40 factors would build 42,560 closures
+    tree = _parse("*".join(["u"] * 40))
+    assert _closures(_compile(_derivative(_derivative(tree)))) == 1671
 
 
 def test_invalid_gauges_rejected_by_validation():
@@ -102,7 +142,7 @@ def test_compiled_gauge_is_bitwise_the_tree_walk():
              "u*exp(0.1*exp(u))", "(u + u^2)^2", "(u^2 + u)^1.25")
     u = np.concatenate([[0.0], np.geomspace(1e-9, 6.0, 97)])
     for text in exprs:
-        ast = _Parser(text).parse()
+        ast = _parse(text)
         compiled = parse_gauge(text).func
         assert np.array_equal(compiled(u), _tree_walk(ast, u)), text
         assert compiled(u[5]) == _tree_walk(ast, np.asarray(u[5])), text
@@ -150,8 +190,8 @@ def test_gauges_that_overflow_stay_input_errors():
 
 
 def test_power_of_a_power_folds():
-    assert _Parser("(u^2)^0.75").parse() == _Parser("u^1.5").parse()
-    assert _Parser("(u^2)^0.5").parse() == ("pow", ("var",), 1.0)
+    assert _parse("(u^2)^0.75") == _parse("u^1.5")
+    assert _parse("(u^2)^0.5") == ("pow", ("var",), 1.0)
     u = np.concatenate([[0.0], np.geomspace(1e-9, 6.0, 97)])
     assert np.array_equal(parse_gauge("(u^2)^0.5")(u), u)
     assert parse_gauge("(u^2)^0.5").linear and parse_gauge("u").linear
@@ -167,7 +207,7 @@ def test_phi_prime_at_zero_from_the_leading_term():
             warnings.simplefilter("error")
             assert parse_gauge(text).derivative(0.0) == at_zero, text
     with np.errstate(all="ignore"):
-        compiled = _compile(_derivative(_Parser("u^2*u^0.5").parse()))
+        compiled = _compile(_derivative(_parse("u^2*u^0.5")))
         assert np.isnan(compiled(np.zeros(1))[0])
 
 
@@ -175,7 +215,7 @@ def test_finite_phi_prime_is_the_compiled_one():
     u = np.concatenate([[0.0], np.geomspace(1e-9, 6.0, 97)])
     for text in ("u^2", "u^1.5", "u*exp(u)", "u^2+u^4", "exp(u^2)*u^2",
                  "u+u^2", "u", "2*u", "u^2*u^0.5", "(u^2+u^3)^0.5"):
-        first = _derivative(_Parser(text).parse())
+        first = _derivative(_parse(text))
         phi = parse_gauge(text)
         with np.errstate(all="ignore"):
             d1, d2 = _compile(first)(u), _compile(_derivative(first))(u)

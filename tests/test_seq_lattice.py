@@ -15,7 +15,7 @@ from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           lattice_valued_norm, parse_gauge, seq_lattice,
                           strong_mixed_norm)
 from lattice_calc.mixed_norms import _pointwise_support, _strong_support
-from lattice_calc.seq_lattice import _ascent_rows
+from lattice_calc.seq_lattice import _ascent_rows, _dual_rows
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -368,6 +368,36 @@ def test_numeric_batch_agrees_with_closed_forms():
     assert ref.method == "analytic"
     assert np.allclose(value, ref.value, rtol=1e-6, atol=0.0)
     assert np.all((agree >= 2) | ~flat.any(axis=-1))  # each row converged
+
+
+_MAX_PLUS_HALF_L1 = CustomFamily(
+    lambda v: float(np.abs(v).max() + 0.5 * np.abs(v).sum()))
+
+
+def test_numeric_dual_row_ignores_its_batch_length():
+    # the ascent once ran this row at the batch's length 4 and stopped
+    # 3.5e-4 short of its dual norm sum|b| / 2.5, attained by (0.4, 0.4, 0.4)
+    batch = np.array([[1.73353, 0.34781, -0.941413, 0.907049, 0.0],
+                      [-0.615219, -0.633509, -0.993432, 0.0, 0.0]])
+    dual = kothe_dual(_MAX_PLUS_HALF_L1)
+    assert (dual.norm_array(batch)[1] == dual.norm_array(batch[1])
+            == dual.norm_array(batch[1, :3]) == 0.896864)
+
+
+@pytest.mark.parametrize("base", [_MAX_PLUS_HALF_L1, LpFamily(1.5),
+                                  LpFamily(3.0)], ids=["custom", "l1.5", "l3"])
+def test_numeric_dual_rows_with_zero_tails_equal_rows_alone(base):
+    # values and witnesses of batches whose rows end in zero tails of
+    # their own lengths, bit for bit those of each row alone
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        n, k = rng.integers(2, 7), rng.integers(2, 5)
+        batch = rng.standard_normal((k, n))
+        batch[np.arange(n) >= n - rng.integers(0, n, (k, 1))] = 0.0
+        values, witnesses = _dual_rows(base, batch)
+        for row, value, witness in zip(batch, values, witnesses):
+            alone = _dual_rows(base, row)
+            assert value == alone[0] and np.array_equal(witness, alone[1])
 
 
 # ---------------------------------------------------------------------------
