@@ -34,7 +34,8 @@ _SIDES = {"convexity": ("pointwise", "strong"),
 # brute_force_constant's zoom passes and its cap on grid points
 _REFINE_PASSES = 3
 _MAX_EVALUATIONS = 3_000_000
-# estimate_constant's cap on the entries of its deepest tuple and its image
+# estimate_constant's cap on the entries of its deepest level's stacked
+# starts and of their image
 _MAX_TUPLE_ENTRIES = 10_000_000
 
 
@@ -125,19 +126,21 @@ def estimate_constant(op: OperatorInstance, family: SeqNormFamily, flavor: str,
 
     Level n + 1 is seeded with the level-n witness padded by a zero row, so
     the reported bounds inherit the prefix monotonicity of the mixed norms
-    exactly.  Deterministic for a fixed seed.  Where n_max times the
-    larger of T's two dimensions exceeds _MAX_TUPLE_ENTRIES, it raises
-    ScaleGuardError before anything is drawn.
+    exactly.  Deterministic for a fixed seed.  Where the budget's restarts
+    times n_max times the larger of T's two dimensions (the entries of the
+    deepest level's stacked starts, or of their image) exceeds
+    _MAX_TUPLE_ENTRIES, it raises ScaleGuardError before anything is drawn.
     """
     top, bottom = _sides(flavor)
     if n_max < 1:
         raise InputError(f"n_max must be positive, got {n_max}")
-    if n_max * max(op.matrix.shape) > _MAX_TUPLE_ENTRIES:
-        m, d = op.matrix.shape
-        raise ScaleGuardError(f"{n_max} levels of a {m} x {d} operator exceed "
-                              f"the cap of {_MAX_TUPLE_ENTRIES} tuple entries")
     budget = budget or AscentBudget()
     budget.validate()
+    m, d = op.matrix.shape
+    if budget.restarts * n_max * max(m, d) > _MAX_TUPLE_ENTRIES:
+        raise ScaleGuardError(f"{budget.restarts} restarts of {n_max} levels "
+                              f"of a {m} x {d} operator exceed the cap of "
+                              f"{_MAX_TUPLE_ENTRIES} tuple entries")
     family.check_length(n_max)
     din = op.in_dim
     bounds: list[LevelBound] = []

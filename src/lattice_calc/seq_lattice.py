@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -451,88 +451,6 @@ class DualNormResult:
     method: str
 
 
-def _structured_dual_inits(targets: np.ndarray):
-    """Deterministic start points for the positive-sphere linear ascent of
-    nonzero rows scaled to max 1, whose profiles thus sum to at least 1.
-
-    Returns (iterated, static): conjugate-style profiles of the target to
-    iterate from, plus vertex candidates of polytopal balls (canonical
-    directions and the all-ones corner) that only need scoring, being
-    already optimal whenever they win.
-    """
-    k, n = targets.shape
-    iterated = [np.ones((k, n))]
-    for r in (0.5, 1.0, 2.0):
-        iterated.append(targets ** r)
-    static = []
-    for i in range(n):
-        e = np.zeros((k, n))
-        e[:, i] = 1.0
-        static.append(e)
-    return iterated, static
-
-
-def _linear_ascent(family: SeqNormFamily, targets: np.ndarray,
-                   inits: Sequence[np.ndarray], iterations: int,
-                   static: Sequence[np.ndarray] = ()):
-    """Maximize sum(alpha * target) over {alpha >= 0, ||alpha|| = 1}.
-
-    One problem per row of ``targets``; all starts of all problems advance
-    in lock step as one stacked batch.  ``static`` starts are normalized
-    and scored without iteration (vertex candidates are already exact when
-    they win at all).  The first step is 0.25.  Each iterate stays on the
-    unit sphere, so every reported value is a genuine lower bound of the
-    dual norm.  Returns (best values, best witnesses, per-start final
-    values).
-    """
-    b = np.abs(np.asarray(targets, dtype=float))
-    k, n = b.shape
-    inits = list(inits) + list(static)
-    iterated = len(inits) - len(static)
-    r = len(inits)
-    alpha = np.concatenate([np.asarray(a, dtype=float) for a in inits])
-    bb = np.tile(b, (r, 1))
-    nrm = family.norm_array(alpha)
-    alpha = alpha / np.where(nrm > 0.0, nrm, 1.0)[:, None]
-    val = (alpha * bb).sum(axis=-1)
-    live = iterated * k
-    a_it = alpha[:live]
-    b_it = bb[:live]
-    v_it = val[:live]
-    eta = np.full(live, 0.25)
-    unit = np.ones(live)
-    for _ in range(iterations):
-        g = family.norm_gradient(a_it, norms=unit)
-        gg = np.add.reduce(g * g, axis=-1)
-        gb = np.add.reduce(g * b_it, axis=-1)
-        d = b_it - g * (gb / np.maximum(gg, 1e-300))[:, None]
-        dn = np.sqrt(np.add.reduce(d * d, axis=-1))
-        d /= np.maximum(dn, 1e-300)[:, None]
-        cand = np.add(a_it, np.multiply(eta[:, None], d, out=d), out=d)
-        np.maximum(cand, 0.0, out=cand)
-        cn = family.norm_array(cand)
-        ok = cn > 0.0
-        cand /= np.where(ok, cn, 1.0)[:, None]  # a row not ok is not adopted
-        cv = np.add.reduce(cand * b_it, axis=-1)
-        adopt = ok & (cv > v_it) & (dn > 1e-15)
-        eta_next = np.minimum(np.maximum(
-            np.where(adopt, eta * 1.4, eta * 0.4), 1e-14), 4.0)
-        if adopt.any():
-            a_it[adopt] = cand[adopt]
-            v_it[adopt] = cv[adopt]
-        elif np.array_equal(eta_next, eta):
-            break  # every eta sits at its floor: a fixed point
-        eta = eta_next
-    alpha = np.concatenate([a_it, alpha[live:]])
-    val = np.concatenate([v_it, val[live:]])
-    finals = val.reshape(r, k)
-    stacked = alpha.reshape(r, k, n)
-    top = finals.argmax(axis=0)
-    best_v = finals[top, np.arange(k)]
-    best_a = stacked[top, np.arange(k)]
-    return best_v, best_a, finals
-
-
 class NumericDualFamily(SeqNormFamily):
     """Koethe dual evaluated numerically, wrapped as a norm family.
 
@@ -560,26 +478,73 @@ class NumericDualFamily(SeqNormFamily):
 def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
                  restarts: int = 0, seed: int = 0):
     """Koethe dual norms of the nonnegative rows ``mags`` (k, n) over
-    ``base`` by positive-sphere ascent of each max-scaled row from
-    ``_structured_dual_inits``, plus seeded starts shared by all rows (the
+    ``base``: for each row b scaled to max 1, the max of sum(alpha * b)
+    over {alpha >= 0, ||alpha|| = 1} by projected-gradient ascent, times
+    the row's max.
+
+    The starts, in this order (argmax ties go to the first): the ones
+    vector and b^0.5, b^1 and b^2; seeded starts shared by all rows (the
     absolute first normals of substreams 0, 1, ... of ``seed``), up to
-    ``restarts`` starts in all.  Returns the values, unit witnesses and
-    per row the number of starts within 1e-6 of the best (zero rows: 0)."""
+    ``restarts`` starts in all; the canonical vectors, which are scored
+    but not iterated, being vertex candidates of polytopal balls that are
+    already optimal whenever they win.  The iterated starts of all rows
+    advance in lock step as one stacked batch from a first step of 0.25,
+    for ``iterations`` steps or until none moves and every step sits at
+    its floor.  Each iterate stays on the unit sphere, so every value is a
+    lower bound attained by its witness.  Returns the values, unit
+    witnesses and per row the number of starts within 1e-6 of the best
+    (zero rows: 0, witness 0)."""
     k, n = mags.shape
     scale = mags.max(axis=-1)
     active = scale != 0.0  # a row with a NaN stays NaN
     out, agree, witness = np.zeros(k), np.zeros(k, dtype=int), np.zeros((k, n))
-    if np.any(active):
-        normed = mags[active] / scale[active, None]
-        iterated, static = _structured_dual_inits(normed)
-        extra = max(0, restarts - len(iterated) - len(static))
-        for start in np.abs(substream_normals(seed, range(extra), n)):
-            iterated.append(np.repeat(start[None], len(normed), axis=0))
-        vals, witness[active], finals = _linear_ascent(
-            base, normed, iterated, iterations, static=static)
-        out[active] = vals * scale[active]
-        agree[active] = (finals * scale[active]
-                         >= out[active] * (1.0 - 1e-6)).sum(axis=0)
+    if not np.any(active):
+        return out, witness, agree
+    b = mags[active] / scale[active, None]
+    m = len(b)
+    extra = max(0, restarts - 4 - n)  # beyond the profiles and vertices
+    seeded = np.abs(substream_normals(seed, range(extra), n))
+    alpha = np.concatenate([np.ones((m, n)), b ** 0.5, b ** 1.0, b ** 2.0,
+                            np.repeat(seeded, m, axis=0),
+                            np.repeat(np.eye(n), m, axis=0)])
+    r = len(alpha) // m
+    bb = np.tile(b, (r, 1))
+    nrm = base.norm_array(alpha)
+    alpha = alpha / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    val = (alpha * bb).sum(axis=-1)
+    live = len(alpha) - n * m
+    # views: adopting a step writes into alpha and val
+    a_it, b_it, v_it = alpha[:live], bb[:live], val[:live]
+    eta = np.full(live, 0.25)
+    unit = np.ones(live)
+    for _ in range(iterations):
+        g = base.norm_gradient(a_it, norms=unit)
+        gg = np.add.reduce(g * g, axis=-1)
+        gb = np.add.reduce(g * b_it, axis=-1)
+        d = b_it - g * (gb / np.maximum(gg, 1e-300))[:, None]
+        dn = np.sqrt(np.add.reduce(d * d, axis=-1))
+        d /= np.maximum(dn, 1e-300)[:, None]
+        cand = np.add(a_it, np.multiply(eta[:, None], d, out=d), out=d)
+        np.maximum(cand, 0.0, out=cand)
+        cn = base.norm_array(cand)
+        ok = cn > 0.0
+        cand /= np.where(ok, cn, 1.0)[:, None]  # a row not ok is not adopted
+        cv = np.add.reduce(cand * b_it, axis=-1)
+        adopt = ok & (cv > v_it) & (dn > 1e-15)
+        eta_next = np.minimum(np.maximum(
+            np.where(adopt, eta * 1.4, eta * 0.4), 1e-14), 4.0)
+        if adopt.any():
+            a_it[adopt] = cand[adopt]
+            v_it[adopt] = cv[adopt]
+        elif np.array_equal(eta_next, eta):
+            break  # every eta sits at its floor: a fixed point
+        eta = eta_next
+    finals = val.reshape(r, m)
+    top = finals.argmax(axis=0)
+    out[active] = finals[top, np.arange(m)] * scale[active]
+    witness[active] = alpha.reshape(r, m, n)[top, np.arange(m)]
+    agree[active] = (finals * scale[active]
+                     >= out[active] * (1.0 - 1e-6)).sum(axis=0)
     return out, witness, agree
 
 

@@ -18,10 +18,9 @@ from lattice_calc import (CustomFamily, InputError, LpFamily, OrliczFamily,
                           kothe_dual, kothe_dual_norm, parse_gauge,
                           seq_lattice)
 from lattice_calc.cli import EXIT_OK, run
+from lattice_calc.seeding import substream_normals
 from lattice_calc.seq_lattice import (NEWTON_STEPS, _amemiya_dual,
-                                      _ascent_rows, _linear_ascent,
-                                      _structured_dual_inits,
-                                      strip_trailing_zeros)
+                                      _ascent_rows, strip_trailing_zeros)
 
 ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
 
@@ -418,8 +417,27 @@ def test_unit_level_is_the_full_bisection():
         assert phi.unit_level == 0.5 * (lo + hi), gauge
 
 
+def _frozen_starts(targets, restarts, seed):
+    """The starts of ``_ascent_rows`` as separate per-start (k, n) arrays:
+    (iterated, static), built one start at a time."""
+    k, n = targets.shape
+    iterated = [np.ones((k, n))]
+    for r in (0.5, 1.0, 2.0):
+        iterated.append(targets ** r)
+    static = []
+    for i in range(n):
+        e = np.zeros((k, n))
+        e[:, i] = 1.0
+        static.append(e)
+    extra = max(0, restarts - len(iterated) - len(static))
+    for start in np.abs(substream_normals(seed, range(extra), n)):
+        iterated.append(np.repeat(start[None], k, axis=0))
+    return iterated, static
+
+
 def _fixed_linear_ascent(family, targets, inits, iterations, step0, static):
-    """``_linear_ascent`` as it was before its stall exit."""
+    """The ascent as it was before its stall exit: (best values, best
+    witnesses, per-start final values)."""
     b = np.abs(np.asarray(targets, dtype=float))
     k, n = b.shape
     inits = list(inits) + list(static)
@@ -467,12 +485,18 @@ def test_linear_ascent_stall_exit_is_the_fixed_count_ascent():
         return float((np.abs(row) ** 3).sum() ** (1.0 / 3.0))
 
     fam = CustomFamily(l3, label="l3-oracle")
-    targets = np.abs(np.random.default_rng(3).standard_normal((4, 5)))
-    iterated, static = _structured_dual_inits(targets)
-    got = _linear_ascent(fam, targets, iterated, 150, static)
+    mags = np.abs(np.random.default_rng(3).standard_normal((4, 5)))
+    got = _ascent_rows(fam, mags, 150, 12, 7)
     early = len(calls)
-    want = _fixed_linear_ascent(fam, targets, iterated, 150, 0.25, static)
-    for g, w in zip(got, want):
+    scale = mags.max(axis=-1)
+    normed = mags / scale[:, None]
+    iterated, static = _frozen_starts(normed, 12, 7)
+    assert len(iterated) == 7  # three of them seeded
+    values, witnesses, finals = _fixed_linear_ascent(
+        fam, normed, iterated, 150, 0.25, static)
+    values = values * scale
+    agree = (finals * scale >= values * (1.0 - 1e-6)).sum(axis=0)
+    for g, w in zip(got, (values, witnesses, agree)):
         assert g.tobytes() == w.tobytes()
     assert early < len(calls) - early  # the exit fired
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lattice_calc import LpFamily
+from lattice_calc import LpFamily, constants, optimize, seq_lattice
 from lattice_calc.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR,
                               EXIT_NONCONVERGENT, EXIT_OK, main, run)
 from lattice_calc.descriptors import _MAX_TOKENS, _tokenize
@@ -312,6 +312,9 @@ _MALFORMED = {
                    "n_max": 10 ** 7},
     "n_10^7": {"task": "duality", "family": _L2, "operator": _OP,
                "n": 10 ** 7},
+    # 10^9 seeded starts of every level would have been drawn
+    "restarts_10^9": {"task": "constant", "family": _L2, "operator": _OP,
+                      "budget": {"restarts": 10 ** 9}},
     # the recursive gauge parser ran out of stack
     "phi_300_parens": {"task": "norm", "vector": [1, 2], "family": {
         "kind": "orlicz", "phi": "(" * 300 + "u^2" + ")" * 300}},
@@ -339,7 +342,12 @@ def _main_quietly(config: dict, out_dir) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("config", _MALFORMED.values(), ids=_MALFORMED.keys())
-def test_malformed_field_exits_2_with_one_line(config, tmp_path):
+def test_malformed_field_exits_2_with_one_line(config, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a malformed config drew seeded normals")
+
+    for module in (constants, optimize, seq_lattice):
+        monkeypatch.setattr(module, "substream_normals", refuse)
     status, err = _main_quietly(config, tmp_path)
     assert status == EXIT_INPUT_ERROR
     lines = err.strip().splitlines()

@@ -150,6 +150,12 @@ def test_estimate_scale_guard_counts_both_dimensions(shape, monkeypatch):
             estimate_constant(op, LpFamily(2), flavor, 5_000_001)
         with pytest.raises(ScaleGuardError):
             duality_check(op, LpFamily(2), 5_000_001)
+        # the restarts count too: 5,000,001 starts of one 2-entry level
+        wide = AscentBudget(5_000_001, 1)
+        with pytest.raises(ScaleGuardError, match="10000000 tuple entries"):
+            estimate_constant(op, LpFamily(2), flavor, 1, wide)
+        with pytest.raises(ScaleGuardError):
+            duality_check(op, LpFamily(2), 1, wide)
 
 
 def test_estimate_agrees_with_grid_oracle():

@@ -14,7 +14,9 @@ canonical JSON (sorted keys, floats that read back exactly):
 - ``verify`` at the ``verify_cli`` bench counts, bench seeds 1-3 and 44;
 - the seeded starts outside the bench: ``operator_norm`` with a zero extra
   start, which is redrawn, at two seeds; ``kothe_dual_norm`` by ascent
-  over a ``CustomFamily`` l1.5 oracle, a 3-vector and a 2x3 batch; a CLI
+  over a ``CustomFamily`` l1.5 oracle, a 3-vector and a 2x3 batch, and
+  over the same oracle ``kothe_dual(...).norm_array`` and ``dual_witness``
+  of a 2x5 batch whose rows end in zero tails of two lengths; a CLI
   ``constant`` task on a random operator with ``n_max`` 6; a CLI
   ``duality`` task at seed 2^128 + 5;
 - ``operator_norm`` with a weighted-lp domain, an Orlicz domain and a zero
@@ -130,6 +132,13 @@ def _seeded_starts(lc):
     for name, b in (("vector", beta[0]), ("batch", beta)):
         yield (f"seeded/kothe_dual_norm_custom/{name}",
                lambda b=b: _plain(lc.kothe_dual_norm(custom, b)))
+    # rows of two lengths, which the dual family solves one length at a time
+    tailed = np.array([[1.73353, 0.34781, -0.941413, 0.907049, 0.0],
+                       [-0.615219, -0.633509, -0.993432, 0.0, 0.0]])
+    yield ("seeded/kothe_dual_custom/norm_array",
+           lambda: lc.kothe_dual(custom).norm_array(tailed).tolist())
+    yield ("seeded/kothe_dual_custom/dual_witness",
+           lambda: lc.dual_witness(custom, tailed).tolist())
     random_op = {"random": {"rows": 4, "cols": 4, "seed": 7},
                  "domain": lp(2.0), "codomain": lp(1.0)}
     yield ("seeded/cli_constant_random_n_max=6",
