@@ -90,8 +90,12 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
         cand = pull(y)
         y, cpairing = lift(cand)
         up = cpairing > pairing
-        live, y, pairing = live[up], y[up], cpairing[up]
-        z[live] = cand[up]
+        if up.all():
+            pairing = cpairing
+            z[live] = cand
+        else:
+            live, y, pairing = live[up], y[up], cpairing[up]
+            z[live] = cand[up]
     z, val = on_sphere(z)
     best = int(np.argmax(np.where(np.isnan(val), -np.inf, val)))
     agree = int((val >= val[best] * (1.0 - 1e-4) - 1e-300).sum())

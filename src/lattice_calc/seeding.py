@@ -8,10 +8,12 @@ fixed seed no matter how the work is batched or scheduled.
 ``spawn_rngs`` returns the substreams as generators, for callers that draw
 from a stream again and again.  ``substream_normals`` returns the first
 normals of many substreams at once, bit for bit what their generators give,
-without a ``SeedSequence`` or a ``Generator`` per substream: it takes the
-parent's entropy pool from numpy, mixes each child's spawn key into it and
-hashes out the child's PCG64 seed words, vectorized over the children, then
-draws every child through one generator whose state it sets per child.
+without a ``SeedSequence`` per substream: it takes the parent's entropy pool
+from numpy, mixes each child's spawn key into it and hashes out the child's
+PCG64 seed words, vectorized over the children, then hands each child's
+words to a PCG64 through a stand-in seed sequence, so numpy's own PCG
+seeding runs in C and the Python work per child is a bit generator, its
+``Generator`` and the draw.
 """
 
 from __future__ import annotations
@@ -21,13 +23,10 @@ import operator
 
 import numpy as np
 
-# numpy's SeedSequence hashes (bit_generator.pyx) and PCG64 seeding (pcg64.h);
-# arithmetic is mod 2^32, or mod 2^128 for the PCG state
+# numpy's SeedSequence hashes (bit_generator.pyx); arithmetic is mod 2^32
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -60,15 +59,18 @@ def _spawn_key_hashes(words: int):
 
 
 @functools.cache
-def _blank_seed():
-    """All-zero seed words, for a PCG64 whose state is set before each draw
-    (hashing a ``SeedSequence`` state there would be wasted work).  Built
-    on first use, as numpy imports ``numpy.random`` only when it is used."""
-    class Blank(np.random.bit_generator.ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype=dtype)
+def _preset_seed():
+    """A seed sequence whose state is the words it holds: PCG64 seeds itself
+    from ``generate_state(4, np.uint64)``, which for a child is its hashed
+    words.  Built on first use, as numpy imports ``numpy.random`` only when
+    it is used."""
+    class Preset(np.random.bit_generator.ISeedSequence):
+        words = None
 
-    return Blank()
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Preset
 
 
 def substream_normals(seed: int, indices, size: int) -> np.ndarray:
@@ -92,15 +94,11 @@ def substream_normals(seed: int, indices, size: int) -> np.ndarray:
     state *= _STATE_MUL
     state ^= state >> 16
     words64 = state.reshape(-1, 8).astype("<u4", copy=False).view("<u8")
-    bits = np.random.PCG64(_blank_seed())
-    draw = np.random.Generator(bits)
+    words64 = words64.astype(np.uint64, copy=False)  # PCG64 reads native words
+    seq = _preset_seed()()
+    pcg64, generator = np.random.PCG64, np.random.Generator
     out = np.empty((len(words64), size))
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, words64.tolist()):
-        # PCG64 seeding: inc = 2 initseq + 1, then two LCG steps from 0
-        # with initstate added in between
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        start = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bits.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                      "uinteger": 0, "state": {"state": start, "inc": inc}}
-        draw.standard_normal(out=row)
+    for row, child in zip(out, words64):
+        seq.words = child
+        generator(pcg64(seq)).standard_normal(out=row)
     return out

@@ -11,6 +11,10 @@ from lattice_calc import (DimensionMismatchError, LpFamily, OperatorInstance,
                           transpose)
 from lattice_calc import verification
 from lattice_calc.cli import EXIT_OK, run
+from lattice_calc.constants import _SIDES
+from lattice_calc.mixed_norms import _witness_support
+from lattice_calc.operators import ratio_problem
+from lattice_calc.seq_lattice import kothe_dual
 
 
 def _op(matrix, p_in=2, p_out=2):
@@ -158,3 +162,65 @@ def test_transpose_pairing_catches_a_perturbed_transpose(monkeypatch):
     rec = _pairing_record(verification.operator_suite(
         counts, _CANCELLING_SEED + 404))
     assert not rec["holds"] and rec["lhs"] > 1e-10
+
+
+# the power step's lift and pull against the general composition, the
+# dual_witness maps of mixed_norms._witness_support on C-ordered batches,
+# by value and by the layout of y, which pull's matrix product reads
+_STEP_FAMILIES = [(2.0, 1.0, 2.0), (2.0, math.inf, 1.5), (1.5, 3.0, 2.0),
+                  (math.inf, math.inf, math.inf), (1.0, 1.0, 1.0),
+                  (3.0, 1.5, math.inf), (1.25, 7.0, 3.0)]
+
+
+def _general_support(flavor, space_family, family, s):
+    if flavor == "strong":
+        return _witness_support(space_family, family, s)
+    x, pairing = _witness_support(family, space_family, s.swapaxes(-1, -2))
+    return x.swapaxes(-1, -2), pairing
+
+
+def _assert_step_bits(got, ref, layout=True):
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # y feeds pull's matmul, whose last bits follow its operand's layout
+    assert not layout or (
+        [s for s, k in zip(got.strides, got.shape) if k > 1]
+        == [s for s, k in zip(ref.strides, ref.shape) if k > 1])
+
+
+@pytest.mark.parametrize("size", [9, 16])
+@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("ps", _STEP_FAMILIES,
+                         ids=["-".join(f"{p:g}" for p in ps)
+                              for ps in _STEP_FAMILIES])
+@pytest.mark.parametrize("flavor", ["convexity", "concavity"])
+def test_power_step_is_the_general_composition(size, n, ps, flavor):
+    p_e, p_x, p_y = ps
+    rng = np.random.default_rng([size, n, int(10 * min(p_e, 9))])
+    op = OperatorInstance(rng.standard_normal((size, size)),
+                          lattice(size, LpFamily(p_e)),
+                          lattice(size, LpFamily(p_x)))
+    family = LpFamily(p_y)
+    top, bottom = _SIDES[flavor]
+    _, _, lift, pull = ratio_problem(op, family, top, bottom, n)
+    mat = op.matrix
+    z = rng.standard_normal((32, n, size))
+    z[3, 1:] = 0.0  # a spike, whose zero rows stay zero
+    z[4, :, size // 2:] = 0.0
+    z = z.reshape(32, -1)
+    y_all, pairing_all = lift(z)
+    x_all = pull(y_all)
+    for batch in (1, 5, 32):
+        y, pairing = lift(z[:batch])
+        y_ref, pairing_ref = _general_support(
+            top, kothe_dual(op.codomain.family), kothe_dual(family),
+            z[:batch].reshape(-1, n, size) @ mat.T)
+        _assert_step_bits(y, y_ref)
+        _assert_step_bits(pairing, pairing_ref)
+        x = pull(y)
+        x_ref = _general_support(bottom, op.domain.family, family,
+                                 y_ref @ mat)[0].reshape(batch, -1)
+        _assert_step_bits(x, x_ref)
+        # the first restarts are a prefix of any larger batch
+        for got, first in ((y, y_all), (pairing, pairing_all), (x, x_all)):
+            _assert_step_bits(got, first[:batch], layout=False)
