@@ -12,11 +12,16 @@ literals, the variable ``u``, ``+``, ``*``, ``^`` (constant exponent),
 ``exp(...)`` and parentheses.  Nothing richer is accepted.  Python's own
 parser reads it, as its +, * and ** group the same way, and one walk maps
 the accepted forms to a tuple AST.
+
+``parse_gauge`` compiles phi, phi' and phi'' into straight-line numpy
+kernels, one per tuple of them that a solve asks for, each compiled at its
+first request and cached by source.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import re
 
@@ -27,9 +32,9 @@ from .seq_lattice import (LpFamily, OrliczFamily, OrliczFunction,
                           SeqNormFamily, WeightedLpFamily, config_field)
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(u|exp|[()+*^]))")
-# the walk of Python's parse, the AST walks and the compiled closures
-# recurse at most twice per token, so at this many they stay inside
-# Python's recursion limit
+# the walk of Python's parse and the AST walks (derivatives, leading term,
+# kernel programs) recurse at most twice per token, so at this many they
+# stay inside Python's recursion limit; the kernels do not recurse
 _MAX_TOKENS = 255
 
 
@@ -106,56 +111,77 @@ def _const_value(node, text):
     raise DescriptorError(f"exponent must be constant in {text!r}")
 
 
-def _compile(node, memo=None):
-    """The closure u -> value of an AST, built once per node: ``memo`` maps
-    the id of each node compiled in this call to its closure, so a subtree
-    that ``_derivative`` shares between parents compiles once.
+def _program(roots, patches=()):
+    """(statements, results): statements set slots t0, t1, ... from u, one
+    per distinct operation and operands, so equal subtrees of the ASTs
+    ``roots`` compute once; results[i] is root i's slot or u, patched to
+    c u^q where not finite if patches[i] is (c, q).  The operations are the
+    tree walk's: a number beside a non-number under + or * is a Python
+    float, others filled arrays; powers 2 to 4 are products from the left."""
+    statements, slots, seen = [], {}, {}
 
-    A number that is one operand of + or * enters as a Python float, which
-    gives the same products and sums as a filled array.  Small integer
-    powers are repeated multiplications: float pow is the dominant cost
-    inside Luxemburg solves.
-    """
-    if memo is None:
-        memo = {}
-    elif id(node) in memo:
-        return memo[id(node)]
-    kind = node[0]
-    if kind == "num":
-        value = node[1]
-        fn = lambda u: np.full_like(u, value)
-    elif kind == "var":
-        fn = lambda u: u
-    elif kind in ("add", "mul"):
-        op = np.add if kind == "add" else np.multiply
-        left, right = node[1], node[2]
-        if left[0] == "num" and right[0] != "num":
-            c, g = left[1], _compile(right, memo)
-            fn = lambda u: op(c, g(u))
-        elif right[0] == "num" and left[0] != "num":
-            f, c = _compile(left, memo), right[1]
-            fn = lambda u: op(f(u), c)
+    def number(text):
+        if text not in slots:
+            slots[text] = f"t{len(slots)}"
+            statements.append(f"{slots[text]} = {text}")
+        return slots[text]
+
+    def visit(node):  # one frame per level of the AST
+        if id(node) in seen:
+            return seen[id(node)]
+        kind = node[0]
+        if kind == "var":
+            name = "u"
+        elif kind == "num":
+            name = number(f"full_like(u, {node[1]!r})")
+        elif kind == "exp":
+            name = number(f"exp({visit(node[1])})")
+        elif kind == "pow":
+            base, p = visit(node[1]), node[2]
+            name = base if p == 1.0 else number(
+                " * ".join([base] * int(p)) if p in (2.0, 3.0, 4.0)
+                else f"{base} ** {p!r}")
         else:
-            f, g = _compile(left, memo), _compile(right, memo)
-            fn = lambda u: op(f(u), g(u))
-    elif kind == "pow":
-        f, p = _compile(node[1], memo), node[2]
-        if p == int(p) and 1 <= p <= 4:
-            def fn(u):
-                base = f(u)
-                out = base
-                for _ in range(int(p) - 1):
-                    out = out * base
-                return out
-        else:
-            fn = lambda u: f(u) ** p
-    elif kind == "exp":
-        f = _compile(node[1], memo)
-        fn = lambda u: np.exp(f(u))
-    else:
-        raise DescriptorError(f"unknown node {kind!r}")
-    memo[id(node)] = fn
-    return fn
+            left, right = node[1], node[2]
+            lone = (left[0] == "num") != (right[0] == "num")
+            a = repr(left[1]) if lone and left[0] == "num" else visit(left)
+            b = repr(right[1]) if lone and right[0] == "num" else visit(right)
+            op = "add" if kind == "add" else "multiply"
+            name = number(f"{op}({a}, {b})")
+        seen[id(node)] = name
+        return name
+
+    results = [visit(root) for root in roots]
+    for i, patch in enumerate(patches):
+        if patch is not None:
+            c, q, v = *map(float, patch), results[i]
+            results[i] = f"where(isfinite({v}), {v}, {c!r} * u ** {q!r})"
+    return statements, results
+
+
+@functools.lru_cache(maxsize=256)
+def _function(source: str):
+    """The function a kernel source defines, over numpy's names."""
+    namespace = dict(vars(np))
+    exec(compile(source, "<gauge kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _kernels(trees, patches=(None, None, None)):
+    """kernel(*orders): the function u -> (phi^(k)(u) for k in orders) on
+    float arrays, compiled at its first request; ``trees`` are the ASTs of
+    phi, phi' and phi'' (k = 0, 1, 2), ``patches`` as in ``_program``."""
+    made = {}
+
+    def kernel(*orders):
+        if orders not in made:
+            statements, results = _program([trees[k] for k in orders],
+                                           [patches[k] for k in orders])
+            made[orders] = _function("\n    ".join(
+                ["def kernel(u):", *statements,
+                 f"return {', '.join(results)},"]))
+        return made[orders]
+    return kernel
 
 
 def _is_num(node, value) -> bool:
@@ -230,20 +256,20 @@ def _leading(node):
     return (c + c2 if q == q2 else c if q < q2 else c2), min(q, q2)
 
 
-def _quiet(f, c=None, q=None):
-    """``f`` on float arrays, with no warning for 0 * inf or overflow; given
-    ``c`` and ``q``, c u^q wherever ``f`` is not finite."""
+def _entry(kernel, order, quiet):
+    """The public phi^(order); ``quiet`` silences 0 * inf and overflow."""
     def call(u):
         u = np.asarray(u, dtype=float)
+        if not quiet:
+            return kernel(order)(u)[0]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v = f(u)
-            return v if q is None else np.where(np.isfinite(v), v, c * u ** q)
+            return kernel(order)(u)[0]
     return call
 
 
 def parse_gauge(expression: str) -> OrliczFunction:
     """Compile a gauge expression to a validated Orlicz function that
-    carries its derivatives phi' and phi''.
+    carries its derivatives phi' and phi'' and their fused kernels.
 
     Where the compiled phi' is not finite at 0 (0 * inf, as in u^2*u^0.5),
     phi' and phi'' wherever they are not finite (also where a base such as
@@ -251,24 +277,20 @@ def parse_gauge(expression: str) -> OrliczFunction:
     term c u^q near 0, so phi'(0) is c when q = 1, and 0 when q > 1.
     """
     tree = _parse(expression)
-    phi = _compile(tree)
     first = _derivative(tree)
-    dphi, ddphi = _compile(first), _compile(_derivative(first))
-
-    def func(u):
-        return phi(np.asarray(u, dtype=float))
-
-    def derivative(u):  # the hot call: a finite phi'(0) rules out 0 * inf
-        return dphi(np.asarray(u, dtype=float))
-
-    second_derivative = _quiet(ddphi)
+    trees = (tree, first, _derivative(first))
+    kernel = _kernels(trees)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not np.isfinite(dphi(np.zeros(()))):  # q < 1 gives phi'(0) = inf
+        patched = not np.isfinite(kernel(1)(np.zeros(()))[0])
+        if patched:  # q < 1 gives phi'(0) = inf
             c, q = _leading(tree)
-            derivative = _quiet(dphi, c * q, q - 1.0)
-            second_derivative = _quiet(ddphi, c * q * (q - 1.0), q - 2.0)
-    return OrliczFunction(func, expression=expression, derivative=derivative,
-                          second_derivative=second_derivative)
+            kernel = _kernels(trees, (None, (c * q, q - 1.0),
+                                      (c * q * (q - 1.0), q - 2.0)))
+    phi = OrliczFunction(_entry(kernel, 0, False), expression=expression,
+                         derivative=_entry(kernel, 1, patched),
+                         second_derivative=_entry(kernel, 2, True))
+    phi.kernel = kernel  # one fused call in place of separate ones
+    return phi
 
 
 def _parse_exponent(desc: dict) -> float:

@@ -258,6 +258,8 @@ class OrliczFunction:
     """Convex gauge phi with phi(0) = 0, strictly increasing, array-valued,
     with its derivatives: ``derivative`` maps u to phi'(u) and
     ``second_derivative`` to phi''(u).  ``parse_gauge`` builds them.
+    ``kernel(*orders)`` maps float arrays u to (phi^(k)(u) for k in orders),
+    k = 0, 1, 2 for phi, phi', phi''; ``parse_gauge`` fuses it.
 
     Validated at construction on a sampled grid: value at zero, strict
     monotonicity, and midpoint convexity on seeded pairs; phi' must be
@@ -284,6 +286,10 @@ class OrliczFunction:
 
     def __call__(self, u):
         return self.func(np.asarray(u, dtype=float))
+
+    def kernel(self, *orders):
+        return lambda u: tuple((self.func, self.derivative,
+                                self.second_derivative)[k](u) for k in orders)
 
     def _validate(self) -> None:
         try:
@@ -362,13 +368,14 @@ class OrliczFamily(SeqNormFamily):
         m = flat.max(axis=-1, keepdims=True)
         active = m != 0.0  # a row with a NaN stays NaN
         b = flat / np.where(active, m, 1.0)
-        f, derivative = self.phi.func, self.phi.derivative
+        kernel = self.phi.kernel(0, 1)
 
         def evaluate(state):  # the root lies above N where S(N) > 1
             x = state[0]
             u = b / x
-            level = f(u).sum(axis=-1, keepdims=True)
-            slope = (u * derivative(u)).sum(axis=-1, keepdims=True)
+            f, d1 = kernel(u)
+            level = f.sum(axis=-1, keepdims=True)
+            slope = (u * d1).sum(axis=-1, keepdims=True)
             return level > 1.0, x * np.exp(level * np.log(level) / slope), ()
 
         lo = np.full_like(m, 1.0 / self.phi.unit_level)
@@ -589,14 +596,14 @@ def _repeats(state, earlier, where) -> bool:
                    for x, y in zip(state, earlier))
 
 
-def _inverse_derivative(phi: OrliczFunction, v: np.ndarray, u: np.ndarray,
-                        top: float, live: np.ndarray) -> np.ndarray:
+def _inverse_derivative(kernel, v: np.ndarray, u: np.ndarray, top: float,
+                        live: np.ndarray) -> np.ndarray:
     """u with phi'(u) = v where ``live``, elementwise, from the start ``u``:
-    Newton of log phi' against log u inside the bracket [0, top]
-    (phi'(top) >= v).  Elements outside ``live`` come back unspecified."""
+    Newton of log phi' against log u inside [0, top] (phi'(top) >= v), by
+    ``kernel``: u -> (phi', phi'').  Other elements come back unspecified."""
     def evaluate(state):  # the root lies above u where phi'(u) < v
         u = state[0]
-        d1, d2 = phi.derivative(u), phi.second_derivative(u)
+        d1, d2 = kernel(u)
         return d1 < v, u * np.exp(np.log(v / d1) * d1 / (u * d2)), ()
 
     state = (u, np.zeros_like(u), np.full_like(u, top))
@@ -640,16 +647,17 @@ def _amemiya_dual(base: OrliczFamily, values):
     u1 = phi.unit_level
     floor = phi.derivative(np.zeros(()))
     support = np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
+    slopes, level_slope = phi.kernel(1, 2), phi.kernel(0, 2)
 
     def evaluate(state):  # the root lies above t where not S(e^t) >= 1
         t, _, _, u = state
         v = np.exp(t) * b
         live = v > floor
-        u = _inverse_derivative(phi, v, np.where(u > 0.0, u, u1), u1, live)
+        u = _inverse_derivative(slopes, v, np.where(u > 0.0, u, u1), u1, live)
         u = np.where(live, u, 0.0)
-        level = phi.func(u).sum(axis=-1, keepdims=True)
-        slope = np.where(live, v * v / phi.second_derivative(u),
-                         0.0).sum(axis=-1, keepdims=True)
+        f, d2 = level_slope(u)
+        level = f.sum(axis=-1, keepdims=True)
+        slope = np.where(live, v * v / d2, 0.0).sum(axis=-1, keepdims=True)
         return ~(level >= 1.0), t - level * np.log(level) / slope, (u,)
 
     t_hi = np.full_like(scale, np.log(phi.derivative(np.asarray(u1))))

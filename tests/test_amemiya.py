@@ -6,7 +6,6 @@ fixed-count Newton."""
 import importlib.util
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,9 +149,10 @@ def test_all_zero_batch_skips_the_solve(monkeypatch):
     assert mixed[0][0] == 0.0 and mixed[2][0] == 0.0
     assert not mixed[1][0].any()
 
-    def refuse(u):
+    def refuse(*args):
         raise AssertionError("the Newton solve ran on an all-zero batch")
 
+    monkeypatch.setattr(fam.phi, "kernel", refuse)
     monkeypatch.setattr(fam.phi, "derivative", refuse)
     monkeypatch.setattr(fam.phi, "second_derivative", refuse)
     for shape in [(3,), (4, 1), (2, 4, 3)]:
@@ -160,6 +160,21 @@ def test_all_zero_batch_skips_the_solve(monkeypatch):
         assert value.shape == upper.shape == shape[:-1]
         assert witness.shape == shape
         assert not (value.any() or witness.any() or upper.any())
+
+
+def test_hand_built_gauge_solves_with_its_separate_callables():
+    # an OrliczFunction built by hand has no fused kernels; its kernel calls
+    # func, derivative and second_derivative, here the parsed u^2's ops
+    hand = OrliczFunction(lambda u: u * u, expression="u^2",
+                          derivative=lambda u: np.multiply(2.0, u),
+                          second_derivative=lambda u: np.full_like(u, 2.0))
+    fams = OrliczFamily(hand), OrliczFamily(parse_gauge("u^2"))
+    betas = np.random.default_rng(26).standard_normal((6, 5))
+    betas[1, 3:] = 0.0
+    got, want = (f.norm_array(betas) for f in fams)
+    assert got.tobytes() == want.tobytes()
+    for got, want in zip(*(_amemiya_dual(f, betas) for f in fams)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bare_callable_gauge_is_refused():
@@ -172,10 +187,42 @@ def _refuse(u):
     raise AssertionError("phi'' was evaluated")
 
 
+def _refuse_second_derivative(phi):
+    """Make every request for phi'' fail, fused or not."""
+    kernel = phi.kernel
+
+    def checked(*orders):
+        if 2 in orders:
+            _refuse(None)
+        return kernel(*orders)
+
+    phi.kernel = checked
+    phi.second_derivative = _refuse
+
+
+def _counted(monkeypatch, phi, orders):
+    """The list that grows by one at each call of phi's kernel of
+    ``orders``, the one gauge call of a solve step."""
+    calls, kernel = [], phi.kernel
+
+    def counting(*asked):
+        inner = kernel(*asked)
+        if asked != orders:
+            return inner
+
+        def call(u):
+            calls.append(1)
+            return inner(u)
+        return call
+
+    monkeypatch.setattr(phi, "kernel", counting)
+    return calls
+
+
 def test_norm_gradient_uses_the_compiled_derivative():
     a = np.random.default_rng(2).standard_normal((20, 5))
     fam = OrliczFamily(parse_gauge("u^2"))
-    fam.phi.second_derivative = _refuse  # the gradient needs phi' alone
+    _refuse_second_derivative(fam.phi)  # the gradient needs phi' alone
     exact = fam.norm_gradient(a)
     assert np.allclose(exact, LpFamily(2).norm_gradient(a), rtol=1e-13,
                        atol=0.0)
@@ -385,18 +432,7 @@ def test_luxemburg_early_exit_is_bitwise_the_fixed_count_newton(gauge):
 def test_one_row_solve_takes_few_inner_steps(monkeypatch):
     # the fixed count is NEWTON_STEPS * NEWTON_STEPS = 256
     fam = OrliczFamily(parse_gauge("u^2"))
-    steps = []
-    inner = seq_lattice._inverse_derivative
-
-    def counted(phi, *args):
-        def count(u):
-            steps.append(1)
-            return phi.derivative(u)
-        return inner(SimpleNamespace(derivative=count,
-                                     second_derivative=phi.second_derivative),
-                     *args)
-
-    monkeypatch.setattr(seq_lattice, "_inverse_derivative", counted)
+    steps = _counted(monkeypatch, fam.phi, (1, 2))  # one per inner step
     _amemiya_dual(fam, np.array([FIXED]))
     assert 0 < len(steps) <= 32
 
@@ -553,7 +589,7 @@ def _luxemburg_batches(rng):
 @pytest.mark.parametrize("gauge", STRESS + FORMER)
 def test_newton_luxemburg_matches_the_bisection(gauge):
     fam = OrliczFamily(parse_gauge(gauge))
-    fam.phi.second_derivative = _refuse  # Newton needs phi' alone
+    _refuse_second_derivative(fam.phi)  # Newton needs phi' alone
     for values in _luxemburg_batches(np.random.default_rng(21)):
         got = fam.norm_array(values)
         want = _bisection_norms(fam, values)
@@ -603,16 +639,9 @@ def test_newton_luxemburg_nan_and_zero_rows():
         assert not fam.norm_array(np.zeros((2, 3, 4))).any()
 
 
-def test_one_row_newton_takes_few_steps():
+def test_one_row_newton_takes_few_steps(monkeypatch):
     fam = OrliczFamily(parse_gauge("u^2"))
-    steps = []
-    derivative = fam.phi.derivative
-
-    def counted(u):
-        steps.append(1)
-        return derivative(u)
-
-    fam.phi.derivative = counted
+    steps = _counted(monkeypatch, fam.phi, (0, 1))  # one per Newton step
     fam.norm_array(np.array(FIXED))
     assert 0 < len(steps) <= 8
 

@@ -1,7 +1,7 @@
 """Descriptor parsing and the gauge expression grammar."""
 
+import itertools
 import math
-import types
 import warnings
 
 import numpy as np
@@ -9,7 +9,8 @@ import pytest
 
 from lattice_calc import (DescriptorError, InputError, family_from_descriptor,
                           parse_gauge)
-from lattice_calc.descriptors import _compile, _derivative, _parse
+from lattice_calc.descriptors import (_derivative, _kernels, _parse,
+                                      _program)
 
 
 def test_lp_descriptor_roundtrip():
@@ -75,23 +76,29 @@ def test_gauge_asts():
         assert _parse(text) == tree, text
 
 
-def _closures(fn):
-    """The distinct functions reachable from ``fn`` through closure cells."""
-    seen, todo = {}, [fn]
-    while todo:
-        f = todo.pop()
-        if id(f) not in seen:
-            seen[id(f)] = f
-            todo += [cell.cell_contents for cell in f.__closure__ or ()
-                     if isinstance(cell.cell_contents, types.FunctionType)]
-    return len(seen)
-
-
 def test_shared_subtrees_compile_once():
     # phi'' of a product chain shares subtrees of phi and phi'; compiled as
-    # a tree, 40 factors would build 42,560 closures
+    # a tree, 40 factors would build 42,560 closures, and with one closure
+    # per shared node 1,671; its kernel has one statement per distinct
+    # operation
     tree = _parse("*".join(["u"] * 40))
-    assert _closures(_compile(_derivative(_derivative(tree)))) == 1671
+    statements, _ = _program([_derivative(_derivative(tree))])
+    assert len(statements) == 226  # at most the 1,671 closures
+    assert len(set(statements)) == len(statements)
+
+
+def test_long_chain_is_an_input_error():
+    # u^127 underflows to 0 on the probe grid, so the gauge is not strictly
+    # increasing there
+    with pytest.raises(InputError, match="strictly increasing"):
+        parse_gauge("*".join(["u"] * 127))
+
+
+def test_infinite_or_nan_exponent_is_an_input_error():
+    # u^inf is 0 on [0, 1) and u^nan is NaN: both fail validation
+    for text in ("u^1e999", "u^(1e999*0)", "u^2*u^1e999"):
+        with np.errstate(all="ignore"), pytest.raises(InputError):
+            parse_gauge(text)
 
 
 def test_invalid_gauges_rejected_by_validation():
@@ -133,19 +140,57 @@ def _tree_walk(node, u):
     raise AssertionError(kind)
 
 
+ORDERS = [orders for size in (1, 2, 3)
+          for orders in itertools.combinations((0, 1, 2), size)]
+
+
+def _same_bits(got, want):
+    return (np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
 def test_compiled_gauge_is_bitwise_the_tree_walk():
     # every node kind: numbers (as one operand and as both), the variable,
-    # sums, products, integer and fractional powers, nested exponentials
+    # sums, products, integer and fractional powers, nested exponentials;
+    # phi, phi', phi'' and every tuple of them, on arrays and 0-d arrays
     exprs = ("u", "u^2", "u^3", "u^4", "u^1.5", "u^2.5 + u", "0.5*u^1.5",
              "u*2", "(2*3)*u", "u*(1 + 2)", "2*u + u^3 + 0.25*u^4",
              "(u^2)*(1 + u)", "u*exp(u)", "exp(u)*u^2", "u^2*exp(u^2 + u)",
              "u*exp(0.1*exp(u))", "(u + u^2)^2", "(u^2 + u)^1.25")
     u = np.concatenate([[0.0], np.geomspace(1e-9, 6.0, 97)])
     for text in exprs:
-        ast = _parse(text)
-        compiled = parse_gauge(text).func
-        assert np.array_equal(compiled(u), _tree_walk(ast, u)), text
-        assert compiled(u[5]) == _tree_walk(ast, np.asarray(u[5])), text
+        tree = _parse(text)
+        first = _derivative(tree)
+        trees = (tree, first, _derivative(first))
+        phi = parse_gauge(text)
+        assert _same_bits(phi.func(u), _tree_walk(tree, u)), text
+        assert phi.func(u[5]) == _tree_walk(tree, np.asarray(u[5])), text
+        for x in (u, np.asarray(u[5]), np.asarray(0.0)):
+            with np.errstate(all="ignore"):
+                walked = [_tree_walk(t, x) for t in trees]
+                for orders in ORDERS:
+                    got = phi.kernel(*orders)(x)
+                    assert len(got) == len(orders), (text, orders)
+                    for k, value in zip(orders, got):
+                        assert _same_bits(value, walked[k]), (text, orders)
+                public = (phi.func(x), phi.derivative(x),
+                          phi.second_derivative(x))
+            assert all(_same_bits(p, w) for p, w in zip(public, walked)), text
+
+
+def test_patched_gauges_fuse_the_public_derivatives():
+    # phi' is 0 * inf at 0, and for (u^2+u^3)^0.5 the base underflows
+    u = np.concatenate([[0.0, 1e-300, 1e-160], np.geomspace(1e-9, 6.0, 97)])
+    for text in ("u^2*u^0.5", "(u^2+u^3)^0.5"):
+        phi = parse_gauge(text)
+        for x in (u, np.asarray(0.0), np.asarray(1e-300)):
+            public = (phi.func(x), phi.derivative(x),
+                      phi.second_derivative(x))
+            for orders in ORDERS:
+                with np.errstate(all="ignore"):
+                    got = phi.kernel(*orders)(x)
+                for k, value in zip(orders, got):
+                    assert _same_bits(value, public[k]), (text, orders)
 
 
 def test_gauge_derivatives_match_hand_formulas():
@@ -207,8 +252,9 @@ def test_phi_prime_at_zero_from_the_leading_term():
             warnings.simplefilter("error")
             assert parse_gauge(text).derivative(0.0) == at_zero, text
     with np.errstate(all="ignore"):
-        compiled = _compile(_derivative(_parse("u^2*u^0.5")))
-        assert np.isnan(compiled(np.zeros(1))[0])
+        tree = _parse("u^2*u^0.5")
+        raw = _kernels((tree, _derivative(tree), None))(1)
+        assert np.isnan(raw(np.zeros(1))[0][0])
 
 
 def test_finite_phi_prime_is_the_compiled_one():
@@ -218,7 +264,7 @@ def test_finite_phi_prime_is_the_compiled_one():
         first = _derivative(_parse(text))
         phi = parse_gauge(text)
         with np.errstate(all="ignore"):
-            d1, d2 = _compile(first)(u), _compile(_derivative(first))(u)
+            d1, d2 = _tree_walk(first, u), _tree_walk(_derivative(first), u)
         for got, want in ((phi.derivative(u), d1),
                           (phi.second_derivative(u), d2)):
             if np.isfinite(d1[0]):

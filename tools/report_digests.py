@@ -25,7 +25,11 @@ canonical JSON (sorted keys, floats that read back exactly):
   ``functional_norm`` and ``tail_profile`` of both flavors;
 - ``brute_force_constant``'s lower bound and witness, ``[value, witness]``
   per level, on the ``verify`` grid instance (verify seed 42, n = 2,
-  resolution 15) and on one 2x2 concavity case of acceptance criterion 8.
+  resolution 15) and on one 2x2 concavity case of acceptance criterion 8;
+- for each of ten gauges (u^p at p = 2, 3, 1.5, 1.05, 12, sums, products
+  with exp(u), exp(u^2) u^2), the Luxemburg ``norm_array`` and the Amemiya
+  solve's value, witness and upper bound on one seeded batch with rows
+  that end in zeros, a zero row, a NaN row and rows near 1e300 and 1e-300.
 
 The operations come from bench/workloads.py, which is imported and never
 changed.  ``compare`` prints one line per output that differs, with the
@@ -151,6 +155,7 @@ def _seeded_starts(lc):
                                "seed": 2 ** 128 + 5}))
     yield from _ratio_outputs(lc)
     yield from _grid_outputs(lc)
+    yield from _gauge_outputs(lc)
 
 
 def _ratio_outputs(lc):
@@ -219,6 +224,34 @@ def _grid_outputs(lc):
     yield ("grid/criterion8_concavity_k=2",
            lambda op=op: levels(lc.brute_force_constant(
                op, lc.LpFamily(1.5), "concavity", 2, grid_resolution=21)))
+
+
+# the STRESS gauges of tests/test_amemiya.py
+STRESS_GAUGES = ("u^2", "u^3", "u^1.5", "u^2+u^4", "u*exp(u)", "u^1.05",
+                 "u^12", "u+u^2", "0.01*u^2+u*exp(u)", "exp(u^2)*u^2")
+
+
+def _gauge_outputs(lc):
+    """Luxemburg norms and Amemiya duals of gauges the bench never runs."""
+    import numpy as np
+
+    batch = np.random.default_rng(2027).standard_normal((8, 5))
+    batch[1, 3:] = 0.0
+    batch[2, 4:] = 0.0
+    batch[3] = 0.0
+    batch[4, 2] = np.nan
+    batch[5] *= 1e300
+    batch[6] *= 1e-300
+    batch[7, 1:] *= 1e-300
+    for gauge in STRESS_GAUGES:
+        family = lc.OrliczFamily(lc.parse_gauge(gauge))
+        yield (f"gauge/{gauge}/norm_array",
+               lambda f=family: f.norm_array(batch).tolist())
+        yield (f"gauge/{gauge}/amemiya_dual",
+               lambda f=family: dict(zip(
+                   ("value", "witness", "upper"),
+                   (x.tolist() for x in lc.seq_lattice._amemiya_dual(
+                       f, batch)))))
 
 
 def _plain(result):
