@@ -34,10 +34,12 @@ A task ignores the config keys it does not read (a ``dualnorm`` task reads
 neither "method" nor "budget"), and every field it reads is type-checked
 ("seed" is a nonnegative integer; a bool is never a number).
 Reports are deterministic for a fixed config (no timestamps), so replaying
-a run yields a byte-identical file.  Exit status: 0 success, 1 a check
-failed, 2 invalid input (malformed fields and scale-guard violations
-included), 3 a numeric routine did not converge; a ``duality`` task exits 3
-when either side's level-n search did not converge, whatever the gap.
+a run yields a byte-identical file, and strict JSON: a NaN or infinite
+number in "results", or a check's "lhs" or "rhs", is written as null.
+Exit status: 0 success, 1 a check failed, 2 invalid input (malformed
+fields and scale-guard violations included), 3 a numeric routine did not
+converge; a ``duality`` task exits 3 when either side's level-n search did
+not converge, whatever the gap.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .errors import InputError, ScaleGuardError
 from .finite_lattice import krivine_apply, lattice, norm_function, projection
 from .operators import OperatorInstance
 from .optimize import AscentBudget
-from .reporting import check_record, inputs_digest
+from .reporting import check_record, finite_or_null, inputs_digest
 from .seq_lattice import as_array, config_field, kothe_dual_norm
 from .verification import run_all
 
@@ -226,7 +228,7 @@ def run(config: dict) -> dict:
         "versions": {"lattice-calc": __version__,
                      "numpy": np.__version__,
                      "python": "%d.%d" % sys.version_info[:2]},
-        "results": results,
+        "results": finite_or_null(results),
         "checks": checks,
         "passed": passed,
         "converged": converged,

@@ -19,10 +19,10 @@ than 8 coordinates they run ``_lp_support``, a kernel on a restart-last
 copy, where each sum over a row's coordinates or over the rows is one pass
 over an outer axis.  Its bits and its output layout are those of
 ``_witness_support``, the ``dual_witness`` composition, on the C-ordered
-batch: numpy sums a contiguous axis pairwise and a strided one in
-sequence, the two orders agree below 8 terms, and ``_sum_first`` runs the
-kernel's longer sums pairwise.  Other families, longer rows, and lp
-batches with a NaN or infinite pairing run ``_witness_support`` itself.
+batch, wherever a pairing is finite: numpy sums a contiguous axis
+pairwise and a strided one in sequence, the two orders agree below 8
+terms, and ``_sum_first`` runs the kernel's longer sums pairwise.  Other
+families and longer rows run ``_witness_support`` itself.
 """
 
 from __future__ import annotations
@@ -85,11 +85,12 @@ def _lp_support(inner: LpFamily, outer: LpFamily, t: np.ndarray):
     last, so each reduction is one pass over an outer axis.  It returns
     x = W(c)_j W(t_j), with W the ``dual_witness`` of the inner and then
     of the outer family and c the pairings <W(t_j), t_j>, and the pairing
-    <W(c), c>, bit for bit as ``_witness_support`` on the C-ordered batch.
+    <W(c), c>, bit for bit as ``_witness_support`` on the C-ordered batch
+    wherever the pairing is finite.  A restart with a NaN or infinite
+    entry, or whose pairing overflows, gets a NaN or infinite pairing.
     The guards of ``dual_witness`` run only for a level with a zero row; a
     one-entry row's witness is its sign, or 1 at zero, so at j = 1 W(c) is
-    exactly 1.  None where a pairing is NaN or infinite, as it is for a
-    NaN or infinite entry of t: ``_witness_support`` takes those."""
+    exactly 1."""
     a, witnesses = t, []
     for family in (inner, outer):
         if witnesses and len(a) == 1:  # W(c) = 1 and <W(c), c> = c
@@ -118,8 +119,6 @@ def _lp_support(inner: LpFamily, outer: LpFamily, t: np.ndarray):
             alpha[:1][zero[None]] = 1.0  # e_0 for a zero row
         witnesses.append(alpha)
         a = _sum_first(alpha * a)[0]
-    if not np.maximum.reduce(a, axis=None) < math.inf:
-        return None
     if len(witnesses) == 1:
         return witnesses[0], a
     rows, coef = witnesses
@@ -141,13 +140,14 @@ def _witness_support(space_family: SeqNormFamily, family: SeqNormFamily,
 
 def _strong_support(space_family: SeqNormFamily, family: SeqNormFamily,
                     s: np.ndarray):
-    """``_witness_support`` of a C-ordered s (..., n, d), bit for bit and
-    layout for layout, whatever the layout of s; lp families with d < 8
-    run ``_lp_support``, on a restart-last copy of s."""
+    """``_witness_support`` of a C-ordered s (..., n, d), bit for bit
+    where the pairing is finite and layout for layout, whatever the layout
+    of s; lp families with d < 8 run ``_lp_support``, on a restart-last
+    copy of s."""
     if s.shape[-1] < 8 and type(space_family) is type(family) is LpFamily:
-        fast = _lp_support(space_family, family, np.ascontiguousarray(s.T))
-        if fast is not None:
-            return np.ascontiguousarray(fast[0].T), fast[1].T
+        x, pairing = _lp_support(space_family, family,
+                                 np.ascontiguousarray(s.T))
+        return np.ascontiguousarray(x.T), pairing.T
     return _witness_support(space_family, family, np.ascontiguousarray(s))
 
 
@@ -157,19 +157,17 @@ def _pointwise_support(space_family: SeqNormFamily, family: SeqNormFamily,
     and that max: the pointwise ball of E(Y) is the strong ball with the
     two families exchanged, on the transposed tuple, so x_j(w) =
     a(w) W_Y((s_j(w))_j)_j with a = W_E of the pointwise pairings.  Bits
-    and layout are those ``_witness_support`` gives the transposed view of
-    a C-ordered s; lp families with n < 8 run ``_lp_support``, where each
-    fiber (s_j(w))_j is a row.  The l1 fiber witness of
-    ``_witness_support`` is a fresh one-hot array, so x comes out
-    contiguous along the fibers there."""
+    (where the pairing is finite) and layout are those
+    ``_witness_support`` gives the transposed view of a C-ordered s; lp
+    families with n < 8 run ``_lp_support``, where each fiber (s_j(w))_j
+    is a row.  The l1 fiber witness of ``_witness_support`` is a fresh
+    one-hot array, so x comes out contiguous along the fibers there."""
     if s.shape[-2] < 8 and type(space_family) is type(family) is LpFamily:
-        fast = _lp_support(family, space_family,
-                           np.ascontiguousarray(s.T.swapaxes(0, 1)))
-        if fast is not None:
-            x, pairing = fast
-            if family.p == 1.0:
-                return np.ascontiguousarray(x.T).swapaxes(-1, -2), pairing.T
-            return np.ascontiguousarray(x.swapaxes(0, 1).T), pairing.T
+        x, pairing = _lp_support(family, space_family,
+                                 np.ascontiguousarray(s.T.swapaxes(0, 1)))
+        if family.p == 1.0:
+            return np.ascontiguousarray(x.T).swapaxes(-1, -2), pairing.T
+        return np.ascontiguousarray(x.swapaxes(0, 1).T), pairing.T
     x, pairing = _witness_support(family, space_family,
                                   np.ascontiguousarray(s).swapaxes(-1, -2))
     return x.swapaxes(-1, -2), pairing

@@ -16,6 +16,7 @@ step; the callables act row by row, so restarts are a prefix of any
 larger budget.
 """
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, Sequence
@@ -101,7 +102,9 @@ def maximize_ratio(numerator: Callable, denominator: Callable, dim: int,
     agree = int((val >= val[best] * (1.0 - 1e-4) - 1e-300).sum())
     # after the loop ``live`` holds the restarts that still rose at the last
     # allowed step: a best restart among them was cut off by the cap,
-    # whatever the restarts agree on
-    converged = agree >= min(2, budget.restarts) and best not in live
+    # whatever the restarts agree on; a best value that is not finite (an
+    # overflow, say) is no estimate
+    converged = (agree >= min(2, budget.restarts) and best not in live
+                 and math.isfinite(val[best]))
     return AscentResult(float(val[best]), z[best].copy(), converged,
                         val.tolist())

@@ -20,17 +20,30 @@ def inputs_digest(*parts) -> str:
     return h.hexdigest()[:12]
 
 
+def finite_or_null(data):
+    """``data`` (JSON data: dicts, lists, numbers, strings) with each NaN or
+    infinite float written as None, JSON null, since NaN and Infinity are
+    not JSON."""
+    if isinstance(data, float):
+        return data if math.isfinite(data) else None
+    if isinstance(data, dict):
+        return {key: finite_or_null(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [finite_or_null(value) for value in data]
+    return data
+
+
 def check_record(op: str, lhs: float, rhs: float, holds: bool,
                  digest: str = "", seed=None, **detail) -> dict:
     """One check; a NaN or infinite ``lhs`` or ``rhs`` is written as None
-    (JSON null, since NaN and Infinity are not JSON) and does not hold."""
+    (``finite_or_null``) and does not hold."""
     lhs, rhs = float(lhs), float(rhs)
     finite = math.isfinite(lhs) and math.isfinite(rhs)
     rec = {
         "op": op,
         "inputs_digest": digest,
-        "lhs": lhs if math.isfinite(lhs) else None,
-        "rhs": rhs if math.isfinite(rhs) else None,
+        "lhs": finite_or_null(lhs),
+        "rhs": finite_or_null(rhs),
         "holds": bool(holds) and finite,
         "seed": seed,
     }

@@ -49,6 +49,12 @@ def strip_trailing_zeros(values: np.ndarray) -> np.ndarray:
     return a[..., :keep] if keep < n else a
 
 
+def _row_ends(flat: np.ndarray) -> np.ndarray:
+    """The length of each row of ``flat`` (k, n) up to its last entry that
+    is not zero (a NaN is not a zero); 0 for a zero row."""
+    return np.max((flat != 0.0) * np.arange(1, flat.shape[-1] + 1), axis=-1)
+
+
 def as_array(x, shape: tuple, what: str = "input") -> np.ndarray:
     """``x`` as a nonempty, finite float array of the given shape.
 
@@ -410,9 +416,13 @@ class CustomFamily(SeqNormFamily):
         super().__init__(label)
 
     def norm_array(self, values):
-        a = strip_trailing_zeros(np.asarray(values, dtype=float))
+        """The oracle of each row up to its last nonzero entry (at least
+        one entry), so a row gets the bits it gets alone."""
+        a = np.asarray(values, dtype=float)
         flat = a.reshape(-1, a.shape[-1])
-        out = np.array([float(self.oracle(row)) for row in flat])
+        ends = np.maximum(_row_ends(flat), 1).tolist()
+        out = np.array([float(self.oracle(row[:end]))
+                        for row, end in zip(flat, ends)])
         return out.reshape(a.shape[:-1])
 
 
@@ -690,8 +700,7 @@ def _dual_rows(base: SeqNormFamily, values):
     if a.shape[-1] == 0:
         raise InputError("empty vector")
     flat = a.reshape(-1, a.shape[-1])
-    # a row ends at its last entry that is not zero (a NaN is not a zero)
-    ends = np.max((flat != 0.0) * np.arange(1, flat.shape[-1] + 1), axis=-1)
+    ends = _row_ends(flat)
     out, witness = np.zeros(len(flat)), np.zeros(flat.shape)
     for end in sorted(set(ends.tolist()) - {0}):
         rows = ends == end

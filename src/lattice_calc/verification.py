@@ -116,7 +116,8 @@ def _dual_ball_combos(fam: LpFamily, rows: np.ndarray, samples: int,
     dirs = np.random.default_rng(seed).standard_normal((samples, len(rows)))
     nrm = dual.norm_array(dirs)
     keep = nrm > 0
-    return (dirs[keep] / nrm[keep, None]) @ rows, dual_witness(dual, rows.T)
+    return ((dirs[keep] / nrm[keep, None]) @ rows,
+            dual_witness(dual, np.ascontiguousarray(rows.T)))
 
 
 def norm_family_suite(counts: dict | None = None, seed: int = 0) -> list[dict]:

@@ -97,6 +97,38 @@ def test_duality_task_exit_codes():
     assert report["exit_status"] in (EXIT_CHECK_FAILED, EXIT_OK)
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_overflowing_search_is_nonconverged_and_strict_json(tmp_path):
+    # every image norm of this operator overflows to inf: the best value
+    # of each search is no estimate, and the reports write it as null
+    operator = {"matrix": [[1e308, 1e308], [1e308, 1e308]],
+                "domain": {"kind": "lp", "p": 2},
+                "codomain": {"kind": "lp", "p": 1}}
+    family = {"kind": "lp", "p": 2}
+    runs = (("constant", {"n_max": 2}, EXIT_NONCONVERGENT),
+            ("duality", {"n": 2}, EXIT_CHECK_FAILED))
+    for task, fields, status in runs:
+        cfg = _write(tmp_path, f"{task}.json", {
+            "task": task, "operator": operator, "family": family, **fields})
+        out = tmp_path / f"{task}_report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([task, "--config", cfg, "--out", str(out)]) == status
+        report = _strict_json(out.read_text())
+        assert report["converged"] is False
+    assert report["results"]["rel_gap"] is None
+    assert report["checks"][0]["holds"] is False
+    constant = _strict_json((tmp_path / "constant_report.json").read_text())
+    assert constant["results"]["overall"] is None
+    assert all(level["lower_bound"] is None and level["converged"] is False
+               for level in constant["results"]["per_n"])
+
+
 def test_matrix_csv_loading(tmp_path):
     csv = tmp_path / "m.csv"
     csv.write_text("1.0,0.0\n0.0,2.0\n")

@@ -37,7 +37,8 @@ def _sequential_maximize_ratio(numerator, denominator, dim, seed=0,
                                budget=None, inits=(), *, lift, pull):
     """One restart at a time, each in its own Python loop: a degenerate init
     replaced by its restart's seeded draw, a step while the lift's pairing
-    strictly rises, then the final iterate on the sphere."""
+    strictly rises, then the final iterate on the sphere; converged where
+    two restarts agree on a finite best value."""
     budget = budget or AscentBudget()
     rngs = spawn_rngs(seed, budget.restarts)
     starts = [np.asarray(z, dtype=float).ravel() for z in inits]
@@ -67,7 +68,8 @@ def _sequential_maximize_ratio(numerator, denominator, dim, seed=0,
         if v > finals[best]:
             best = ridx
     agree = sum(1 for v in finals if v >= finals[best] * (1.0 - 1e-4) - 1e-300)
-    return finals[best], points[best], agree >= min(2, len(finals)), finals
+    converged = agree >= min(2, len(finals)) and math.isfinite(finals[best])
+    return finals[best], points[best], converged, finals
 
 
 def _bits(x):
@@ -231,6 +233,7 @@ def test_infinite_numerator_stops_like_sequential():
     kw["inits"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     got = _assert_identical(numer, denom, dim, **kw)
     assert got.restart_values[0] == np.inf
+    assert got.converged is False  # an infinite best is no estimate
 
 
 def test_fewer_restarts_than_inits_matches_sequential():

@@ -26,7 +26,8 @@ def test_compare_of_a_dump_with_itself_reports_nothing(tmp_path, capsys):
     tool = _load_tool()
     outputs = list(tool.outputs())
     names = {name for name, _ in outputs}
-    assert len(names) == len(outputs) == 15 + 3 * 11 + 2 + 4 + 8 + 10 + 2 + 20
+    assert len(names) == len(outputs) == (15 + 3 * 11 + 2 + 4 + 14 + 10
+                                          + 4 + 26)
     dump = {name: thunk() for name, thunk in outputs
             if name.startswith("orlicz_dual/seed=1/")}
     assert len(dump) == 11

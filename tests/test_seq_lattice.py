@@ -307,6 +307,28 @@ def test_ascent_dual_keeps_nan_rows(family):
     assert vals[1] > 0.0 and vals[2] == 0.0
 
 
+def test_custom_oracle_sees_each_row_at_its_own_length():
+    # numpy sums 8 or more entries pairwise, so zero padding moves this
+    # oracle's last bit; each row of a zero-tailed batch, the zero row
+    # (one entry) too, reaches it at the row's own length
+    lengths = []
+
+    def l15(v):
+        lengths.append(len(v))
+        return float((np.abs(v) ** 1.5).sum() ** (1 / 1.5))
+
+    family = CustomFamily(l15)
+    batch = np.random.default_rng(67).standard_normal((6, 24))
+    for row, end in zip(batch, (24, 19, 13, 9, 2, 0)):
+        row[end:] = 0.0
+    values = family.norm_array(batch)
+    assert lengths == [24, 19, 13, 9, 2, 1]
+    alone = [family.norm_array(row) for row in batch]
+    assert lengths[6:] == [24, 19, 13, 9, 2, 1]
+    assert np.asarray(alone).tobytes() == values.tobytes()
+    assert values[-1] == 0.0
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_lp_vector_norm_equals_its_batch_row(p):
     # numpy's scalar pow once took the root of a lone vector and could
@@ -600,22 +622,35 @@ def test_mixed_support_maps_keep_their_bits(space_family, family):
                               for f, g in _SUPPORT_PAIRS])
 def test_support_maps_with_nan_and_inf_rows_are_the_general_path(
         space_family, family):
-    # a NaN or infinite pairing sends the lp kernel back to the dual_witness
-    # composition, so even the NaN results keep their bits
+    # a restart with a NaN or infinite entry leaves the finite restarts of
+    # its batch as they are alone, which is the general path's result, and
+    # ends with a NaN or infinite pairing itself; both tuple axes stay
+    # below 8, under the length where a batch's shared zero tail can
+    # reorder a pairwise sum
     for b in _witness_batches(np.random.default_rng(61), rows=(6, 7),
-                              lengths=(1, 3, 7, 8)):
-        for s in (b, -b, b.swapaxes(-1, -2)):
-            c_ordered = np.ascontiguousarray(s)
+                              lengths=(1, 3, 7)):
+        both = np.concatenate([b, -b, np.where(np.isfinite(b), b, 0.0)])
+        for s in (both, both.swapaxes(-1, -2)):
+            finite = np.isfinite(s).all(axis=(-2, -1))
+            assert 0 < finite.sum() < len(s)
+            c_ordered = np.ascontiguousarray(s[finite])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 strong = _strong_support(space_family, family, s)
-                strong_ref = _witness_support(space_family, family, c_ordered)
                 pointwise = _pointwise_support(space_family, family, s)
-                x, pairing = _witness_support(family, space_family,
-                                              c_ordered.swapaxes(-1, -2))
-            for got, ref in zip((*strong, *pointwise),
-                                (*strong_ref, x.swapaxes(-1, -2), pairing)):
-                _assert_bits(got, ref, (space_family, family))
+            x, pairing = _witness_support(family, space_family,
+                                          c_ordered.swapaxes(-1, -2))
+            for got, alone, ref in zip(
+                    (*strong, *pointwise),
+                    (*_strong_support(space_family, family, s[finite]),
+                     *_pointwise_support(space_family, family, s[finite])),
+                    (*_witness_support(space_family, family, c_ordered),
+                     x.swapaxes(-1, -2), pairing)):
+                _assert_bits(got[finite], alone, (space_family, family))
+                _assert_bits(alone, ref, (space_family, family))
+            for _, paired in (strong, pointwise):
+                assert not np.isfinite(paired[~finite]).any(), (
+                    space_family, family)
 
 
 @seed(12)

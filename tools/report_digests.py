@@ -18,16 +18,24 @@ canonical JSON (sorted keys, floats that read back exactly):
   over the same oracle ``kothe_dual(...).norm_array`` and ``dual_witness``
   of a 2x5 batch whose rows end in zero tails of two lengths; a CLI
   ``constant`` task on a random operator with ``n_max`` 6; a CLI
-  ``duality`` task at seed 2^128 + 5;
+  ``duality`` task at seed 2^128 + 5; a CLI ``constant`` task with an
+  Orlicz family, whose lift takes the norm gradient of the numeric dual;
+  the ``constant`` and ``duality`` reports of an operator whose norms
+  overflow; ``kothe_dual_norm`` and ``kothe_dual(...).norm_array`` of the
+  l1.5 oracle on an all-zero batch; ``kothe_dual_norm`` of a weighted lp
+  with p = 2.5;
 - ``operator_norm`` with a weighted-lp domain, an Orlicz domain and a zero
   column, an Amemiya-dual codomain, and between two non-lattice normed
   spaces; one ``convexity_ratio`` and one ``concavity_ratio``;
   ``functional_norm`` and ``tail_profile`` of both flavors;
 - ``brute_force_constant``'s lower bound and witness, ``[value, witness]``
   per level, on the ``verify`` grid instance (verify seed 42, n = 2,
-  resolution 15) and on one 2x2 concavity case of acceptance criterion 8;
+  resolution 15), on one 2x2 concavity case of acceptance criterion 8,
+  on a 3-coordinate domain and on a 1x1 operator;
 - for each of ten gauges (u^p at p = 2, 3, 1.5, 1.05, 12, sums, products
-  with exp(u), exp(u^2) u^2), the Luxemburg ``norm_array`` and the Amemiya
+  with exp(u), exp(u^2) u^2) and three more (the linear 2u, whose dual is
+  a closed form, and u^2 u^0.5 and (u^2+u^3)^0.5, whose derivatives take
+  the leading term near 0), the Luxemburg ``norm_array`` and the Amemiya
   solve's value, witness and upper bound on one seeded batch with rows
   that end in zeros, a zero row, a NaN row and rows near 1e300 and 1e-300.
 
@@ -153,6 +161,32 @@ def _seeded_starts(lc):
            lambda: lc.cli.run({"task": "duality", "operator": random_op,
                                "family": lp(2.0), "n": 2,
                                "seed": 2 ** 128 + 5}))
+    orlicz_op = {"random": {"rows": 3, "cols": 3, "seed": 11},
+                 "domain": lp(1.5), "codomain": lp(3.0)}
+    yield ("seeded/cli_constant_orlicz_family",
+           lambda: lc.cli.run({"task": "constant", "operator": orlicz_op,
+                               "family": {"kind": "orlicz",
+                                          "phi": "u^2+u^4"},
+                               "n_max": 2, "seed": 1,
+                               "budget": {"restarts": 4, "iterations": 20}}))
+    # every norm of this operator's images overflows to inf
+    huge_op = {"matrix": [[1e308, 1e308], [1e308, 1e308]],
+               "domain": lp(2.0), "codomain": lp(1.0)}
+    yield ("overflow/cli_constant",
+           lambda: lc.cli.run({"task": "constant", "operator": huge_op,
+                               "family": lp(2.0), "n_max": 2}))
+    yield ("overflow/cli_duality",
+           lambda: lc.cli.run({"task": "duality", "operator": huge_op,
+                               "family": lp(2.0), "n": 2}))
+    zeros = np.zeros((2, 3))
+    yield ("seeded/kothe_dual_norm_custom/zero_batch",
+           lambda: _plain(lc.kothe_dual_norm(custom, zeros)))
+    yield ("seeded/kothe_dual_custom/zero_batch_norm_array",
+           lambda: lc.kothe_dual(custom).norm_array(zeros).tolist())
+    weighted = lc.WeightedLpFamily(2.5, [0.5, 1.75, 0.8, 1.2])
+    yield ("seeded/kothe_dual_norm_weighted_lp_p=2.5",
+           lambda: _plain(lc.kothe_dual_norm(
+               weighted, np.random.default_rng(2029).standard_normal(4))))
     yield from _ratio_outputs(lc)
     yield from _grid_outputs(lc)
     yield from _gauge_outputs(lc)
@@ -224,11 +258,26 @@ def _grid_outputs(lc):
     yield ("grid/criterion8_concavity_k=2",
            lambda op=op: levels(lc.brute_force_constant(
                op, lc.LpFamily(1.5), "concavity", 2, grid_resolution=21)))
+    # a 3-coordinate domain has a polar angle besides the azimuthal one
+    mat = np.random.default_rng(2028).standard_normal((3, 3))
+    op = lc.OperatorInstance(mat, lc.lattice(3, lc.LpFamily(1.5)),
+                             lc.lattice(3, lc.LpFamily(3)))
+    yield ("grid/domain_of_3_convexity_n=1",
+           lambda op=op: levels(lc.brute_force_constant(
+               op, lc.LpFamily(2.5), "convexity", 1, grid_resolution=9)))
+    # a 1x1 operator at n = 1 has no angle at all
+    op = lc.OperatorInstance(np.array([[-1.7]]), lc.lattice(1, lc.LpFamily(2)),
+                             lc.lattice(1, lc.LpFamily(1)))
+    yield ("grid/one_by_one_concavity_n=1",
+           lambda op=op: levels(lc.brute_force_constant(
+               op, lc.LpFamily(1.5), "concavity", 1, grid_resolution=9)))
 
 
 # the STRESS gauges of tests/test_amemiya.py
 STRESS_GAUGES = ("u^2", "u^3", "u^1.5", "u^2+u^4", "u*exp(u)", "u^1.05",
                  "u^12", "u+u^2", "0.01*u^2+u*exp(u)", "exp(u^2)*u^2")
+# a linear gauge, and two whose compiled phi' is not finite at 0
+BRANCH_GAUGES = ("2*u", "u^2*u^0.5", "(u^2+u^3)^0.5")
 
 
 def _gauge_outputs(lc):
@@ -243,7 +292,7 @@ def _gauge_outputs(lc):
     batch[5] *= 1e300
     batch[6] *= 1e-300
     batch[7, 1:] *= 1e-300
-    for gauge in STRESS_GAUGES:
+    for gauge in STRESS_GAUGES + BRANCH_GAUGES:
         family = lc.OrliczFamily(lc.parse_gauge(gauge))
         yield (f"gauge/{gauge}/norm_array",
                lambda f=family: f.norm_array(batch).tolist())
