@@ -21,6 +21,7 @@ first request and cached by source.
 from __future__ import annotations
 
 import ast
+import copy
 import functools
 import math
 import re
@@ -275,7 +276,16 @@ def parse_gauge(expression: str) -> OrliczFunction:
     phi' and phi'' wherever they are not finite (also where a base such as
     u^2+u^3 underflows under a negative power) are those of the leading
     term c u^q near 0, so phi'(0) is c when q = 1, and 0 when q > 1.
+    An expression is compiled and validated once; each call returns its
+    own copy, whose attributes can be replaced without touching the others.
     """
+    return copy.copy(_compiled_gauge(expression))
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled_gauge(expression: str) -> OrliczFunction:
+    """``parse_gauge``'s function, shared by the calls for ``expression``
+    (a malformed one raises, and is tried again, at each call)."""
     tree = _parse(expression)
     first = _derivative(tree)
     trees = (tree, first, _derivative(first))

@@ -20,8 +20,10 @@ from .errors import DescriptorError, DimensionMismatchError, InputError
 from .seeding import substream_normals
 
 # Step ceiling of every bracketed Newton solve (``_bracketed_newton``): the
-# Luxemburg norm, and the Amemiya dual's level k and its phi'(u) = k|b_i|.
+# Luxemburg norm, and the Amemiya dual's level k and its phi'(u) = k|b_i|;
+# an element stops sooner once a step moves it by at most _FREEZE_ULPS.
 NEWTON_STEPS = 16
+_FREEZE_ULPS = 4.0 * np.finfo(float).eps
 
 # kothe_dual_norm's positive-sphere ascent: starts in all and iterations
 _DUAL_RESTARTS = 32
@@ -353,9 +355,9 @@ class OrliczFamily(SeqNormFamily):
     is nonincreasing, so the bracket [1 / u1, support / u1] with
     u1 = phi^{-1}(1) always contains the norm N of b.  Newton of log S
     against log N runs in that bracket (``_bracketed_newton``); for u^p and
-    c u the first step is exact.  Each row is solved on its own, and
-    appending zeros changes neither the bracket nor any iterate, so padding
-    consistency is exact.
+    c u the first step is exact.  Each row is solved on its own, stopping
+    once a step moves N by at most 4 ulps or cycles; appending zeros changes
+    neither the bracket nor any iterate, so padding consistency is exact.
     """
 
     def __init__(self, phi: OrliczFunction):
@@ -388,7 +390,7 @@ class OrliczFamily(SeqNormFamily):
         hi = lo * np.maximum(np.count_nonzero(b, axis=-1, keepdims=True), 1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                          under="ignore"):
-            x = _bracketed_newton(evaluate, (lo, lo, hi))[0][0]
+            x = _bracketed_newton(evaluate, (lo, lo, hi))[0]
             norms = np.where(active, m * x, 0.0)
         return norms[:, 0].reshape(a.shape[:-1])
 
@@ -565,59 +567,53 @@ def _ascent_rows(base: SeqNormFamily, mags: np.ndarray, iterations: int,
     return out, witness, agree
 
 
-def _bracketed_newton(evaluate, state, where=None):
+def _bracketed_newton(evaluate, state, where=None, log=False):
     """Bracketed Newton from ``state`` = (x, lo, hi, *carried): at most
-    NEWTON_STEPS steps, elementwise.
+    NEWTON_STEPS steps, each element of x stopping on its own.
 
     ``evaluate(state)`` returns (above, step, carried): where the root lies
     above x, the Newton step from x, and the arrays the next state carries
     (a warm start, say).  The bracket end on the root's side moves to x,
     and x to the step, or to the bracket's midpoint where the step leaves
-    the bracket.  The step map is elementwise, so once the new state equals
-    the state two steps back bit for bit (NaN and signed zeros included),
-    wherever ``where`` holds (everywhere when it is None), it cycles with
-    period 1 or 2, and the parity of the steps left picks what all
-    NEWTON_STEPS steps reach.  Returns the states after NEWTON_STEPS and
-    NEWTON_STEPS - 1 steps; elements outside ``where`` are unspecified.
+    the bracket.  An element freezes, keeping the state it reached, at the
+    first step whose new x lies within 4 ulps of the last (|dx| <= 4 eps
+    |x|; 4 eps for a ``log`` x) or equals the x two steps back bit for bit:
+    it has converged, or cycles at rounding level.  The loop ends once every
+    element where ``where`` holds (everywhere when it is None) has frozen;
+    a carried array freezes with the elements of x it broadcasts from.
+    Returns the last state; elements outside ``where`` are unspecified.
     """
-    if where is not None and where.all():
-        where = None
-    x, lo, hi = state[:3]
-    earlier, prev = None, state
-    for done in range(1, NEWTON_STEPS + 1):
-        above, step, carried = evaluate(prev)
+    done = np.zeros(np.shape(state[0]), bool) if where is None else ~where
+    back = None
+    for _ in range(NEWTON_STEPS):
+        if done.all():
+            break
+        above, step, carried = evaluate(state)
+        x, lo, hi = state[:3]
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
-        x = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        state = (x, lo, hi) + carried
-        if earlier is not None and _repeats(state, earlier, where):
-            return ((state, prev) if (NEWTON_STEPS - done) % 2 == 0
-                    else (prev, state))
-        earlier, prev = prev, state
-    return prev, earlier
-
-
-def _repeats(state, earlier, where) -> bool:
-    """Whether each array of ``state`` equals its counterpart in ``earlier``
-    bit for bit wherever ``where`` holds (everywhere when it is None)."""
-    if where is None:
-        return all(x.tobytes() == y.tobytes() for x, y in zip(state, earlier))
-    return not any(((x.view(np.int64) != y.view(np.int64)) & where).any()
-                   for x, y in zip(state, earlier))
+        new = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        near = np.abs(new - x) <= _FREEZE_ULPS * (1.0 if log else np.abs(x))
+        if back is not None:
+            near |= new.view(np.int64) == back.view(np.int64)
+        state = tuple(np.where(done, old, now) for old, now
+                      in zip(state, (new, lo, hi) + carried))
+        back, done = x, done | near
+    return state
 
 
 def _inverse_derivative(kernel, v: np.ndarray, u: np.ndarray, top: float,
                         live: np.ndarray) -> np.ndarray:
-    """u with phi'(u) = v where ``live``, elementwise, from the start ``u``:
-    Newton of log phi' against log u inside [0, top] (phi'(top) >= v), by
-    ``kernel``: u -> (phi', phi'').  Other elements come back unspecified."""
+    """u with phi'(u) = v where ``live`` from the start ``u``, each element
+    stopping on its own: Newton of log phi' against log u inside [0, top]
+    (phi'(top) >= v) by ``kernel``: u -> (phi', phi'').  Others unspecified."""
     def evaluate(state):  # the root lies above u where phi'(u) < v
         u = state[0]
         d1, d2 = kernel(u)
         return d1 < v, u * np.exp(np.log(v / d1) * d1 / (u * d2)), ()
 
     state = (u, np.zeros_like(u), np.full_like(u, top))
-    return _bracketed_newton(evaluate, state, live)[0][0]
+    return _bracketed_newton(evaluate, state, live)[0]
 
 
 def _amemiya_dual(base: OrliczFamily, values):
@@ -630,11 +626,12 @@ def _amemiya_dual(base: OrliczFamily, values):
     [1 / (support * u1), phi'(u1)] (u1 = phi^{-1}(1)); k comes from
     Newton of log S against log k in that bracket and each u_i from
     ``_inverse_derivative``, warm-started across outer steps, both by
-    ``_bracketed_newton``.  Only per-row operations run, so a row's result
-    does not depend on its batch.  The witness
-    alpha = u / ||u|| is one Luxemburg evaluation; the value <alpha, |b|>
-    is a lower bound attained by it, and the Amemiya objective at the last
-    k is the upper side of the bracket.  Returns (values, nonnegative
+    ``_bracketed_newton``: each row's k and each u_i stop on their own once
+    converged.  Only per-row operations run, so a row's result does not
+    depend on its batch.  The witness alpha = u / ||u|| is one Luxemburg
+    evaluation; the value <alpha, |b|> is a lower bound attained by it,
+    and the Amemiya objective at the k that the row's final u was solved
+    at is the upper side of the bracket.  Returns (values, nonnegative
     witnesses, upper bounds); a zero row has value 0 and witness 0.
     """
     a = strip_trailing_zeros(np.abs(np.asarray(values, dtype=float)))
@@ -660,7 +657,7 @@ def _amemiya_dual(base: OrliczFamily, values):
     slopes, level_slope = phi.kernel(1, 2), phi.kernel(0, 2)
 
     def evaluate(state):  # the root lies above t where not S(e^t) >= 1
-        t, _, _, u = state
+        t, u = state[0], state[3]
         v = np.exp(t) * b
         live = v > floor
         u = _inverse_derivative(slopes, v, np.where(u > 0.0, u, u1), u1, live)
@@ -668,16 +665,17 @@ def _amemiya_dual(base: OrliczFamily, values):
         f, d2 = level_slope(u)
         level = f.sum(axis=-1, keepdims=True)
         slope = np.where(live, v * v / d2, 0.0).sum(axis=-1, keepdims=True)
-        return ~(level >= 1.0), t - level * np.log(level) / slope, (u,)
+        return ~(level >= 1.0), t - level * np.log(level) / slope, (u, t)
 
     t_hi = np.full_like(scale, np.log(phi.derivative(np.asarray(u1))))
     t_lo = np.minimum(t_hi, -np.log(support * u1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        # u of the last state was solved at the level t of the one before
-        last, before = _bracketed_newton(
-            evaluate, (t_hi, t_lo, t_hi, np.full_like(b, u1)))
-        u, k = last[3], np.exp(before[0])
+        # Young's equality pairs u with the level t it was solved at
+        u, t = _bracketed_newton(evaluate, (t_hi, t_lo, t_hi,
+                                            np.full_like(b, u1), t_hi),
+                                 log=True)[3:]
+        k = np.exp(t)
         upper = (1.0 + (k * b * u - phi.func(u)).sum(axis=-1)) / k[:, 0]
     nrm = base.norm_array(u)
     alpha = u / np.where(nrm > 0.0, nrm, 1.0)[:, None]

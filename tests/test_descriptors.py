@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lattice_calc import (DescriptorError, InputError, family_from_descriptor,
-                          parse_gauge)
-from lattice_calc.descriptors import (_derivative, _kernels, _parse,
-                                      _program)
+from lattice_calc import (DescriptorError, InputError, OrliczFunction,
+                          family_from_descriptor, parse_gauge)
+from lattice_calc.descriptors import (_compiled_gauge, _derivative, _kernels,
+                                      _parse, _program)
 
 
 def test_lp_descriptor_roundtrip():
@@ -271,3 +271,36 @@ def test_finite_phi_prime_is_the_compiled_one():
                 assert got.tobytes() == want.tobytes(), text
             finite = np.isfinite(want)
             assert got[finite].tobytes() == want[finite].tobytes(), text
+
+
+def test_repeated_expression_is_validated_once(monkeypatch):
+    solves, solve = [], OrliczFunction._solve_unit_level
+
+    def counting(self):
+        solves.append(1)
+        return solve(self)
+
+    monkeypatch.setattr(OrliczFunction, "_solve_unit_level", counting)
+    _compiled_gauge.cache_clear()
+    first, second = parse_gauge("u^2+u^4"), parse_gauge("u^2+u^4")
+    assert len(solves) == 1
+    assert first is not second
+    assert first.unit_level == second.unit_level
+    assert first.linear is second.linear is False
+    u = np.geomspace(1e-9, 6.0, 50)
+    for order in (0, 1, 2):
+        assert (first.kernel(order)(u)[0].tobytes()
+                == second.kernel(order)(u)[0].tobytes())
+    assert first(u).tobytes() == second(u).tobytes()
+    # replacing one copy's kernel leaves the other alone
+    monkeypatch.setattr(first, "kernel", None)
+    assert callable(second.kernel)
+    assert parse_gauge("u^2+u^4").kernel is second.kernel
+
+
+def test_malformed_expression_raises_at_every_call():
+    for _ in range(2):
+        with pytest.raises(DescriptorError):
+            parse_gauge("u^")
+        with pytest.raises(InputError, match="vanish at 0"):
+            parse_gauge("exp(u)")
